@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "forecast/timeout.hpp"
 #include "gossip/sync_client.hpp"
 #include "net/node.hpp"
 
@@ -98,9 +97,6 @@ class ServiceFramework {
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] Node& node() { return node_; }
-  [[nodiscard]] AdaptiveTimeout& timeouts() {
-    return node_.call_policy().timeouts();
-  }
   [[nodiscard]] std::size_t module_count() const { return modules_.size(); }
 
  private:

@@ -5,44 +5,39 @@
 // to account for ambient network and CPU load conditions. This dynamic
 // time-out discovery proved crucial to overall program stability."
 //
-// AdaptiveTimeout derives a per-(server, message type) time-out from the
-// event forecaster bank: forecast + safety_factor * expected error, clamped
-// to [floor, ceiling]. Failed requests feed back an inflated pseudo-sample
-// so repeated timeouts push the interval up instead of thrashing.
-// StaticTimeout is the paper's rejected alternative, kept as the baseline
-// for bench/ablation_timeouts.
+// AdaptiveTimeout prices one (server, message type) RTT stream: forecast +
+// safety_factor * expected error, clamped to [floor, ceiling]. Failed
+// requests feed back an inflated pseudo-sample so repeated timeouts push the
+// interval up instead of thrashing. The streams themselves live with their
+// owner (CallPolicy keeps one per destination and message type), so pricing
+// a call never looks anything up.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 
 #include "common/clock.hpp"
-#include "forecast/dynamic_benchmark.hpp"
+#include "common/stats.hpp"
+#include "forecast/selector.hpp"
 
 namespace ew {
 
-/// Strategy interface so schedulers/gossips can swap policies (ablation).
-class TimeoutPolicy {
- public:
-  virtual ~TimeoutPolicy() = default;
-  /// Time-out to use for the next request matching `tag`.
-  [[nodiscard]] virtual Duration timeout(const EventTag& tag) const = 0;
-  /// Report a request outcome: round-trip time and success flag.
-  virtual void on_result(const EventTag& tag, Duration rtt, bool ok) = 0;
+/// One (server, message type) RTT stream: the adaptive forecaster plus the
+/// trailing window of successful RTTs behind the tail-quantile term. A new
+/// stream is "never measured" until its first recorded result.
+struct RttStream {
+  explicit RttStream(std::size_t tail_window)
+      : forecaster(AdaptiveForecaster::nws_default()), tail(tail_window) {}
+
+  AdaptiveForecaster forecaster;
+  // Ordered incrementally so timeout() reads the quantile in O(1) instead
+  // of copying and partially sorting the window on every request. Fills
+  // only on success.
+  OrderedWindow tail;
 };
 
-/// Fixed time-out regardless of observed behaviour (the ablation baseline).
-class StaticTimeout final : public TimeoutPolicy {
- public:
-  explicit StaticTimeout(Duration value) : value_(value) {}
-  [[nodiscard]] Duration timeout(const EventTag&) const override { return value_; }
-  void on_result(const EventTag&, Duration, bool) override {}
-
- private:
-  Duration value_;
-};
-
-/// Forecast-driven time-outs (the paper's approach).
-class AdaptiveTimeout final : public TimeoutPolicy {
+/// Forecast-driven time-outs (the paper's approach). Stateless apart from
+/// its options: it prices and updates whichever stream it is handed.
+class AdaptiveTimeout {
  public:
   struct Options {
     Duration floor = 50 * kMillisecond;    // never spin-retry faster than this
@@ -55,23 +50,24 @@ class AdaptiveTimeout final : public TimeoutPolicy {
     /// observed high quantile with margin.
     double tail_quantile = 0.98;
     double tail_margin = 2.5;
-    std::size_t tail_window = 128;         // samples kept per event tag
+    std::size_t tail_window = 128;         // samples kept per stream
   };
 
   AdaptiveTimeout() : AdaptiveTimeout(Options{}) {}
   explicit AdaptiveTimeout(Options opts) : opts_(opts) {}
 
-  [[nodiscard]] Duration timeout(const EventTag& tag) const override;
-  void on_result(const EventTag& tag, Duration rtt, bool ok) override;
+  /// Time-out to use for the stream's next request.
+  [[nodiscard]] Duration timeout(const RttStream& s) const;
+  /// Report a request outcome: round-trip time and success flag.
+  void on_result(RttStream& s, Duration rtt, bool ok) const;
 
-  [[nodiscard]] const EventForecasterBank& bank() const { return bank_; }
   [[nodiscard]] const Options& options() const { return opts_; }
 
-  /// Observed RTT quantile for the tag's trailing window, or 0 when the tag
+  /// Observed RTT quantile for the stream's trailing window, or 0 when it
   /// has no successful samples yet. This is the hedging trigger: once a
   /// request outlives the q-quantile of past responses it is probably lost,
   /// and a second attempt is cheaper than waiting out the full time-out.
-  [[nodiscard]] Duration observed_quantile(const EventTag& tag, double q) const;
+  [[nodiscard]] static Duration observed_quantile(const RttStream& s, double q);
 
   /// Experiment-wide switch for bench/ablation_timeouts: while set, every
   /// AdaptiveTimeout in the process answers with this fixed value instead of
@@ -93,11 +89,6 @@ class AdaptiveTimeout final : public TimeoutPolicy {
 
  private:
   Options opts_;
-  EventForecasterBank bank_;
-  // Per-tag trailing RTT windows for the tail-quantile term. Ordered
-  // incrementally so timeout() reads the quantile in O(1) instead of
-  // copying and partially sorting the window on every request.
-  mutable std::unordered_map<EventTag, OrderedWindow, EventTagHash> tails_;
 };
 
 }  // namespace ew

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "forecast/dynamic_benchmark.hpp"
 #include "obs/trace.hpp"
 
 namespace ew {
@@ -101,10 +102,6 @@ void CircuitBreaker::trip(TimePoint now) {
   ++times_opened_;
 }
 
-CircuitBreaker& CircuitBreakerBank::at(const Endpoint& to) {
-  return by_dest_.try_emplace(to.to_string(), opts_).first->second;
-}
-
 AggregateCallStats::AggregateCallStats()
     : owned_(std::make_unique<obs::Registry>()) {
   bind(*owned_);
@@ -168,25 +165,46 @@ CallStatsSink& CallPolicy::stats() const {
   return sink_ != nullptr ? *sink_ : process_call_stats();
 }
 
-Duration CallPolicy::attempt_timeout(const EventTag& tag,
+CallPolicy::Route CallPolicy::resolve(const Endpoint& to, MsgType type) {
+  Destination& d = dests_.try_emplace(to, to, opts_.breaker).first->second;
+  auto [it, fresh] = d.streams.try_emplace(type, opts_.timeout.tail_window);
+  // When tracing is on, new streams report their method switches under
+  // their dynamic-benchmarking tag so regime changes in the forecast join
+  // against the call spans they caused.
+  if (fresh && obs::trace().enabled()) {
+    it->second.forecaster.enable_method_switch_trace(
+        obs::trace().intern(EventTag::of(to, type).to_string()));
+  }
+  return Route{d, it->second};
+}
+
+Forecast CallPolicy::forecast(const Endpoint& to, MsgType type) const {
+  auto d = dests_.find(to);
+  if (d == dests_.end()) return Forecast{};
+  auto s = d->second.streams.find(type);
+  if (s == d->second.streams.end()) return Forecast{};
+  return s->second.forecaster.forecast();
+}
+
+Duration CallPolicy::attempt_timeout(const RttStream& s,
                                      const CallOptions& opts) const {
   // An explicit global override (ablation arms) beats even fixed per-call
   // values, mirroring the old components' uniform use of AdaptiveTimeout.
   const Duration global = AdaptiveTimeout::global_static_override();
   if (global > 0) return global;
   if (opts.attempt_timeout > 0) return opts.attempt_timeout;
-  Duration t = timeouts_.timeout(tag);
-  if (opts.initial_timeout > 0 && !timeouts_.bank().knows(tag)) {
+  Duration t = timeouts_.timeout(s);
+  if (opts.initial_timeout > 0 && s.forecaster.samples() == 0) {
     t = opts.initial_timeout;
   }
   if (opts.max_attempt_timeout > 0) t = std::min(t, opts.max_attempt_timeout);
   return t;
 }
 
-Duration CallPolicy::hedge_delay(const EventTag& tag,
+Duration CallPolicy::hedge_delay(const RttStream& s,
                                  const HedgePolicy& hedge) const {
   if (!hedge.enabled) return 0;
-  const Duration q = timeouts_.observed_quantile(tag, hedge.tail_quantile);
+  const Duration q = AdaptiveTimeout::observed_quantile(s, hedge.tail_quantile);
   if (q <= 0) return 0;  // no history: the forecast has nothing to say
   return std::max(q, hedge.min_delay);
 }
@@ -211,28 +229,31 @@ void note_breaker_edge(CallStatsSink& sink, const Endpoint& to, TimePoint now,
 
 }  // namespace
 
-bool CallPolicy::admit(const Endpoint& to, TimePoint now) {
-  if (!opts_.breaker_enabled) return true;
-  CircuitBreaker& b = breakers_.at(to);
+Admission CallPolicy::admit(Destination& d, TimePoint now) {
+  if (!opts_.breaker_enabled) return Admission::kAdmitted;
+  CircuitBreaker& b = d.breaker;
   const CircuitBreaker::State before = b.peek_state();
   const bool ok = b.allow(now);  // may roll open -> half-open
-  note_breaker_edge(stats(), to, now, before, b.peek_state());
-  return ok;
+  const CircuitBreaker::State after = b.peek_state();
+  note_breaker_edge(stats(), d.to, now, before, after);
+  if (!ok) return Admission::kShed;
+  // A half-open breaker admits only by handing out a probe slot.
+  return after == CircuitBreaker::State::kHalfOpen ? Admission::kProbe
+                                                   : Admission::kAdmitted;
 }
 
-void CallPolicy::on_attempt_abandoned(const Endpoint& to) {
-  if (opts_.breaker_enabled) breakers_.at(to).release_probe();
+void CallPolicy::on_attempt_abandoned(Destination& d, Admission how) {
+  if (how == Admission::kProbe) d.breaker.release_probe();
 }
 
-void CallPolicy::on_attempt_result(const EventTag& tag, const Endpoint& to,
-                                   TimePoint now, TimePoint sent, Duration rtt,
-                                   bool ok) {
-  timeouts_.on_result(tag, rtt, ok);
+void CallPolicy::on_attempt_result(Destination& d, RttStream& s, TimePoint now,
+                                   TimePoint sent, Duration rtt, bool ok) {
+  timeouts_.on_result(s, rtt, ok);
   if (opts_.breaker_enabled) {
-    CircuitBreaker& b = breakers_.at(to);
+    CircuitBreaker& b = d.breaker;
     const CircuitBreaker::State before = b.peek_state();
     b.on_result(now, sent, ok);  // rolls, then applies the outcome
-    note_breaker_edge(stats(), to, now, before, b.peek_state());
+    note_breaker_edge(stats(), d.to, now, before, b.peek_state());
   }
 }
 

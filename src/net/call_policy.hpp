@@ -9,7 +9,7 @@
 //     transport failures (a server that *answered* with a rejection is not
 //     retried unless the caller opts in);
 //   * hedging — when the first attempt outlives the observed RTT tail
-//     quantile for its (server, message type) event tag, it is probably
+//     quantile for its (server, message type) stream, it is probably
 //     lost, and one duplicate attempt is fired; the loser is cancelled and
 //     wins/losses are counted;
 //   * circuit breaking — per-destination failure counting fed by the same
@@ -17,8 +17,8 @@
 //     calls immediately (kUnavailable) and probes half-open for recovery.
 //
 // CallPolicy bundles the three with the AdaptiveTimeout that prices each
-// attempt, plus an injectable CallStatsSink replacing the old process-wide
-// Node::GlobalStats.
+// attempt, one table of per-destination state they all read, and an
+// injectable CallStatsSink replacing the old process-wide Node::GlobalStats.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +30,7 @@
 #include "common/result.hpp"
 #include "forecast/timeout.hpp"
 #include "net/endpoint.hpp"
+#include "net/packet.hpp"
 #include "obs/registry.hpp"
 
 namespace ew {
@@ -81,7 +82,7 @@ struct RetryPolicy {
 
 /// Hedged-request policy for one call. Off by default; when enabled, at most
 /// one duplicate attempt is fired once the first outlives the observed
-/// `tail_quantile` of past RTTs for its event tag. With no RTT history the
+/// `tail_quantile` of past RTTs for its stream. With no RTT history the
 /// forecast has nothing to say and no hedge fires.
 struct HedgePolicy {
   bool enabled = false;
@@ -106,8 +107,8 @@ struct CallOptions {
   Duration deadline = 0;
   /// Fixed per-attempt time-out; 0 = dynamic discovery via AdaptiveTimeout.
   Duration attempt_timeout = 0;
-  /// With dynamic discovery: time-out to use before the tag has any
-  /// samples (0 = the policy-wide AdaptiveTimeout initial).
+  /// With dynamic discovery: time-out to use before the (destination, type)
+  /// stream has any samples (0 = the policy-wide AdaptiveTimeout initial).
   Duration initial_timeout = 0;
   /// With dynamic discovery: cap on the discovered time-out (0 = the
   /// policy-wide ceiling).
@@ -276,9 +277,9 @@ class CircuitBreaker {
   /// evidence (sent = now).
   void on_result(TimePoint now, bool ok) { on_result(now, now, ok); }
 
-  /// An admitted attempt was abandoned (its call completed first) and will
-  /// never report a result: free the probe slot it may occupy so the
-  /// half-open state cannot latch.
+  /// A probe admitted by allow() was abandoned (its call completed first)
+  /// and will never report a result: free its slot so the half-open state
+  /// cannot latch. Only an attempt that took a probe slot may call this.
   void release_probe() {
     if (probes_in_flight_ > 0) --probes_in_flight_;
   }
@@ -298,23 +299,19 @@ class CircuitBreaker {
   std::uint64_t times_opened_ = 0;
 };
 
-/// One breaker per destination endpoint, created on first use.
-class CircuitBreakerBank {
- public:
-  explicit CircuitBreakerBank(CircuitBreaker::Options opts = {})
-      : opts_(opts) {}
-
-  CircuitBreaker& at(const Endpoint& to);
-  [[nodiscard]] std::size_t size() const { return by_dest_.size(); }
-
- private:
-  CircuitBreaker::Options opts_;
-  std::unordered_map<std::string, CircuitBreaker> by_dest_;
-};
+/// CallPolicy::admit's verdict for one attempt. kProbe marks an attempt
+/// holding one of a half-open breaker's probe slots; only such an attempt
+/// hands its slot back when abandoned.
+enum class Admission : std::uint8_t { kShed, kAdmitted, kProbe };
 
 /// Everything a Node consults before, during and after a call: the adaptive
-/// time-out (one bank per node, as each node observes its own servers), the
-/// breaker bank, and the stats sink.
+/// time-out that prices each attempt, one table of per-destination state
+/// (breaker plus one RTT stream per message type), and the stats sink.
+///
+/// Node::call resolves its destination and stream once; every later step of
+/// the call works on those references, so the call path hashes nothing
+/// after the call starts. Entries are created on first contact and never
+/// erased while the policy lives, which keeps the references valid.
 class CallPolicy {
  public:
   struct Options {
@@ -325,13 +322,25 @@ class CallPolicy {
     bool breaker_enabled = false;
   };
 
+  /// One destination's call state. Each node observes its own servers, so
+  /// each policy keeps its own table.
+  struct Destination {
+    Destination(const Endpoint& e, const CircuitBreaker::Options& b)
+        : to(e), breaker(b) {}
+    Endpoint to;
+    CircuitBreaker breaker;
+    std::unordered_map<MsgType, RttStream> streams;  // by message type
+  };
+
+  /// A call's destination and its (destination, type) stream.
+  struct Route {
+    Destination& dest;
+    RttStream& stream;
+  };
+
   CallPolicy() : CallPolicy(Options{}) {}
   explicit CallPolicy(const Options& opts)
-      : opts_(opts), timeouts_(opts.timeout), breakers_(opts.breaker) {}
-
-  [[nodiscard]] AdaptiveTimeout& timeouts() { return timeouts_; }
-  [[nodiscard]] const AdaptiveTimeout& timeouts() const { return timeouts_; }
-  [[nodiscard]] CircuitBreakerBank& breakers() { return breakers_; }
+      : opts_(opts), timeouts_(opts.timeout) {}
 
   void set_breaker_enabled(bool on) { opts_.breaker_enabled = on; }
   [[nodiscard]] bool breaker_enabled() const { return opts_.breaker_enabled; }
@@ -340,32 +349,40 @@ class CallPolicy {
   void set_stats_sink(CallStatsSink* sink) { sink_ = sink; }
   [[nodiscard]] CallStatsSink& stats() const;
 
+  /// The entry for `to` and its stream for `type`, created on first use. A
+  /// new stream is "never measured" until its first recorded result.
+  [[nodiscard]] Route resolve(const Endpoint& to, MsgType type);
+
+  /// Current forecast for the (destination, type) stream;
+  /// Forecast::samples == 0 means never measured. Creates nothing.
+  [[nodiscard]] Forecast forecast(const Endpoint& to, MsgType type) const;
+
   /// Time-out for the next attempt of a call with these options.
-  [[nodiscard]] Duration attempt_timeout(const EventTag& tag,
+  [[nodiscard]] Duration attempt_timeout(const RttStream& s,
                                          const CallOptions& opts) const;
 
   /// Delay after which a hedge should fire, or 0 for "don't hedge" (policy
   /// disabled, or no RTT history to forecast from).
-  [[nodiscard]] Duration hedge_delay(const EventTag& tag,
+  [[nodiscard]] Duration hedge_delay(const RttStream& s,
                                      const HedgePolicy& hedge) const;
 
-  /// Breaker gate; true when the attempt may proceed.
-  [[nodiscard]] bool admit(const Endpoint& to, TimePoint now);
+  /// Breaker gate for one attempt.
+  [[nodiscard]] Admission admit(Destination& d, TimePoint now);
 
   /// An admitted attempt was cancelled before reporting (its call completed
-  /// first); frees any half-open probe slot it held.
-  void on_attempt_abandoned(const Endpoint& to);
+  /// first); frees the half-open probe slot if `how` says it took one.
+  void on_attempt_abandoned(Destination& d, Admission how);
 
-  /// Feed an attempt's transport outcome to the forecaster and breaker.
+  /// Feed an attempt's transport outcome to the stream and the breaker.
   /// `sent` is the attempt's send time, used by the breaker to discount
   /// stale evidence from before its last trip.
-  void on_attempt_result(const EventTag& tag, const Endpoint& to,
-                         TimePoint now, TimePoint sent, Duration rtt, bool ok);
+  void on_attempt_result(Destination& d, RttStream& s, TimePoint now,
+                         TimePoint sent, Duration rtt, bool ok);
 
  private:
   Options opts_;
   AdaptiveTimeout timeouts_;
-  CircuitBreakerBank breakers_;
+  std::unordered_map<Endpoint, Destination, EndpointHash> dests_;
   CallStatsSink* sink_ = nullptr;  // nullptr = process_call_stats()
 };
 

@@ -6,6 +6,7 @@
 
 #include "common/log.hpp"
 #include "common/serialize.hpp"
+#include "forecast/dynamic_benchmark.hpp"
 #include "obs/trace.hpp"
 
 namespace ew {
@@ -15,11 +16,12 @@ namespace {
 // small enough that a degenerate run cannot bloat the node.
 constexpr std::size_t kCancelledSeqCap = 4096;
 
-// Spans join against forecast streams through the same dynamic-benchmarking
-// event tag the timeout discovery uses. Called only when tracing is on, so
-// the tag string is built (and interned) only then.
-std::uint32_t call_trace_tag(const EventTag& tag) {
-  return obs::trace().intern(tag.to_string());
+// Spans join against forecast streams through the dynamic-benchmarking
+// event tag ("host:port/type") the streams trace method switches under.
+// Called only when tracing is on, so the tag string is built (and
+// interned) only then.
+std::uint32_t span_tag(const Endpoint& to, MsgType type) {
+  return obs::trace().intern(EventTag::of(to, type).to_string());
 }
 }  // namespace
 
@@ -98,11 +100,9 @@ void Node::call(const Endpoint& to, MsgType type, Bytes payload,
   const TimePoint now = exec_.now();
   policy_.stats().record_call_start();
 
-  CallState c;
+  CallState c(policy_.resolve(to, type));
   c.cb = std::move(cb);
-  c.to = to;
   c.type = type;
-  c.tag = EventTag::of(to, type);
   c.opts = std::move(opts);
   c.started = now;
   // The payload is copied only when a second attempt is possible; the
@@ -145,16 +145,16 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
   // still in flight — that attempt may be the breaker's half-open probe,
   // and killing the call here would drop its response on the floor and
   // leak the probe slot (latching the breaker half-open forever).
-  if (!policy_.admit(c.to, now)) {
+  const Admission admission = policy_.admit(c.dest, now);
+  if (admission == Admission::kShed) {
     policy_.stats().record_short_circuit();
     if (c.in_flight == 0) {
-      complete_call(call_id,
-                    Error{Err::kUnavailable, "circuit open to " + c.to.to_string()});
+      complete_call(call_id, Error{Err::kUnavailable, "circuit open"});
     }
     return;
   }
 
-  Duration timeout = policy_.attempt_timeout(c.tag, c.opts);
+  Duration timeout = policy_.attempt_timeout(c.stream, c.opts);
   if (c.deadline_at > 0) {
     if (c.deadline_at <= now) {
       complete_call(call_id, Error{Err::kTimeout, "call deadline exceeded"});
@@ -174,14 +174,16 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
   c.seqs.push_back(seq);
   policy_.stats().record_attempt(!is_hedge && c.attempts_started > 1, is_hedge);
   if (obs::trace().enabled()) {
-    obs::trace().record(now, obs::SpanKind::kCallAttempt, call_trace_tag(c.tag),
-                        c.attempts_started, is_hedge ? 1 : 0);
+    obs::trace().record(now, obs::SpanKind::kCallAttempt,
+                        span_tag(c.dest.to, c.type), c.attempts_started,
+                        is_hedge ? 1 : 0);
   }
 
   Attempt a;
   a.call_id = call_id;
   a.sent = now;
   a.timeout = timeout;
+  a.admission = admission;
   a.is_hedge = is_hedge;
   a.timer = exec_.schedule(timeout, [this, seq] { on_attempt_timeout(seq); });
   pending_.emplace(seq, a);
@@ -191,7 +193,7 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
   pkt.type = c.type;
   pkt.seq = seq;
   pkt.payload = std::move(payload);
-  Status s = transport_.send(self_, c.to, std::move(pkt));
+  Status s = transport_.send(self_, c.dest.to, std::move(pkt));
   if (!s.ok()) {
     // Synchronous refusal: the attempt never left this host.
     auto pit = pending_.find(seq);
@@ -203,9 +205,9 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
     // shrink time-outs for a peer that did nothing wrong. Other synchronous
     // failures are genuine destination trouble and are recorded.
     if (s.code() != Err::kOverloaded) {
-      policy_.on_attempt_result(c.tag, c.to, now, /*sent=*/now, 0,
+      policy_.on_attempt_result(c.dest, c.stream, now, /*sent=*/now, 0,
                                 /*ok=*/false);
-      if (observer_) observer_(c.to, c.type, 0, /*success=*/false);
+      if (observer_) observer_(c.dest.to, c.type, 0, /*success=*/false);
     }
     on_attempt_failed(call_id, s.error());
   }
@@ -216,13 +218,13 @@ void Node::maybe_schedule_hedge(std::uint64_t call_id) {
   if (cit == calls_.end()) return;
   CallState& c = cit->second;
   if (!c.opts.hedge.enabled) return;
-  const Duration delay = policy_.hedge_delay(c.tag, c.opts.hedge);
+  const Duration delay = policy_.hedge_delay(c.stream, c.opts.hedge);
   // No RTT history, or the tail quantile is so close to the time-out that a
   // retry would fire anyway: don't pay for a duplicate.
   if (delay <= 0 || delay >= c.first_attempt_timeout) return;
   if (obs::trace().enabled()) {
     obs::trace().record(exec_.now(), obs::SpanKind::kCallHedge,
-                        call_trace_tag(c.tag), delay);
+                        span_tag(c.dest.to, c.type), delay);
   }
   c.hedge_timer = exec_.schedule(delay, [this, call_id] {
     auto it = calls_.find(call_id);
@@ -246,9 +248,9 @@ void Node::on_attempt_timeout(std::uint64_t seq) {
   CallState& c = cit->second;
   --c.in_flight;
   policy_.stats().record_timeout(a.timeout);
-  policy_.on_attempt_result(c.tag, c.to, exec_.now(), a.sent, a.timeout,
+  policy_.on_attempt_result(c.dest, c.stream, exec_.now(), a.sent, a.timeout,
                             /*ok=*/false);
-  if (observer_) observer_(c.to, c.type, a.timeout, /*success=*/false);
+  if (observer_) observer_(c.dest.to, c.type, a.timeout, /*success=*/false);
   // The server may still answer; if the call is then still undecided, that
   // late response completes it (see on_response).
   late_.emplace(seq, LateAttempt{a.call_id, a.sent});
@@ -264,7 +266,7 @@ void Node::on_attempt_failed(std::uint64_t call_id, Error err) {
   if (c.in_flight > 0) return;
   if (err_retryable(err.code) && schedule_retry(call_id)) return;
   if (!c.opts.trace_tag.empty()) {
-    EW_DEBUG << "call '" << c.opts.trace_tag << "' to " << c.to.to_string()
+    EW_DEBUG << "call '" << c.opts.trace_tag << "' to " << c.dest.to.to_string()
              << " failed after " << c.attempts_started
              << " attempt(s): " << err.to_string();
   }
@@ -282,8 +284,9 @@ bool Node::schedule_retry(std::uint64_t call_id) {
   // with the attempt's error instead of burning the remaining budget.
   if (c.deadline_at > 0 && now + backoff >= c.deadline_at) return false;
   if (obs::trace().enabled()) {
-    obs::trace().record(now, obs::SpanKind::kCallRetry, call_trace_tag(c.tag),
-                        c.attempts_started + 1, backoff);
+    obs::trace().record(now, obs::SpanKind::kCallRetry,
+                        span_tag(c.dest.to, c.type), c.attempts_started + 1,
+                        backoff);
   }
   c.retry_timer = exec_.schedule(backoff, [this, call_id] {
     auto it = calls_.find(call_id);
@@ -346,8 +349,8 @@ void Node::on_response(const IncomingMessage& msg) {
     CallState& c = cit->second;
     --c.in_flight;
     const Duration rtt = now - a.sent;
-    policy_.on_attempt_result(c.tag, c.to, now, a.sent, rtt, /*ok=*/true);
-    if (observer_) observer_(c.to, c.type, rtt, /*success=*/true);
+    policy_.on_attempt_result(c.dest, c.stream, now, a.sent, rtt, /*ok=*/true);
+    if (observer_) observer_(c.dest.to, c.type, rtt, /*success=*/true);
     if (c.hedge_sent) policy_.stats().record_hedge_result(a.is_hedge);
     deliver_response(a.call_id, msg);
     return;
@@ -365,7 +368,7 @@ void Node::on_response(const IncomingMessage& msg) {
     if (cit == calls_.end()) return;
     CallState& c = cit->second;
     policy_.stats().record_late_response(/*rescued=*/true);
-    policy_.on_attempt_result(c.tag, c.to, now, la.sent, now - la.sent,
+    policy_.on_attempt_result(c.dest, c.stream, now, la.sent, now - la.sent,
                               /*ok=*/true);
     deliver_response(la.call_id, msg);
     return;
@@ -424,12 +427,13 @@ void Node::complete_call(std::uint64_t call_id, Result<Bytes> result) {
     if (auto it = pending_.find(seq); it != pending_.end()) {
       // Still-in-flight loser (the cancelled hedge or superseded attempt);
       // its eventual response is an expected duplicate. Its outcome will
-      // never reach the policy, so hand back any half-open probe slot the
-      // attempt may hold — otherwise the breaker stays latched half-open.
+      // never reach the policy, so hand back the half-open probe slot if
+      // the attempt took one — otherwise the breaker stays latched
+      // half-open.
       exec_.cancel(it->second.timer);
+      policy_.on_attempt_abandoned(c.dest, it->second.admission);
       pending_.erase(it);
       remember_cancelled(seq);
-      policy_.on_attempt_abandoned(c.to);
     }
     // Dead late_ entries: a response now is just a plain late response.
     late_.erase(seq);

@@ -118,10 +118,11 @@ class Node {
   /// One logical call: callback, policy, and the attempt bookkeeping that
   /// guarantees single delivery across retries and hedges.
   struct CallState {
+    explicit CallState(CallPolicy::Route r) : dest(r.dest), stream(r.stream) {}
     CallCallback cb;
-    Endpoint to;
+    CallPolicy::Destination& dest;  // resolved once, in call()
+    RttStream& stream;              // dest's stream for `type`
     MsgType type = 0;
-    EventTag tag;
     CallOptions opts;
     Bytes payload;               // kept only when a resend is possible
     TimePoint started = 0;
@@ -142,6 +143,7 @@ class Node {
     TimerId timer = kInvalidTimer;
     TimePoint sent = 0;
     Duration timeout = 0;
+    Admission admission = Admission::kAdmitted;
     bool is_hedge = false;
   };
 

@@ -147,6 +147,10 @@ Result<Fd> tcp_accept(const Fd& listener) {
     if (errno == EWOULDBLOCK || errno == EAGAIN) {
       return Error{Err::kUnavailable, "no pending connection"};
     }
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      return Error{Err::kOverloaded, "accept: " + errno_str()};
+    }
     return Error{Err::kInternal, "accept: " + errno_str()};
   }
   if (Status s = set_nonblocking(fd); !s.ok()) return s.error();

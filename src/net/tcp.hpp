@@ -92,7 +92,9 @@ Status tcp_finish_connect(const Fd& fd, const Endpoint& to);
 Status set_nonblocking(const Fd& fd);
 
 /// Accept one pending connection (listener must be readable). The accepted
-/// socket is returned non-blocking.
+/// socket is returned non-blocking. An empty queue is kUnavailable; running
+/// out of descriptors or socket memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) is
+/// kOverloaded, since the connection then stays queued until some are freed.
 Result<Fd> tcp_accept(const Fd& listener);
 
 /// Send as much of `data` as the socket accepts right now (non-blocking).

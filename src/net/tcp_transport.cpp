@@ -39,6 +39,9 @@ Result<RoutedView> unroute_view(std::span<const std::uint8_t> payload) {
 /// Frames fed to one sendmsg(2); matches the iovec cap in send_some.
 constexpr std::size_t kFlushBatch = 64;
 
+/// Pause before a listener that ran out of descriptors tries accept again.
+constexpr Duration kAcceptBackoff = 50 * kMillisecond;
+
 }  // namespace
 
 Bytes encode_routed_frame(const Packet& p, const Endpoint& src,
@@ -74,6 +77,7 @@ TcpTransport::TcpTransport(Reactor& reactor, std::string_view metrics_label)
           &obs::registry().counter(obs::names::kNetBackpressureRejects)),
       frames_truncated_(
           &obs::registry().counter(obs::names::kNetFramesTruncated)),
+      accept_errors_(&obs::registry().counter(obs::names::kNetAcceptErrors)),
       conns_open_(&obs::registry().gauge(obs::names::kNetConnsOpen)),
       outbox_bytes_(&obs::registry().gauge(obs::names::kNetOutboxBytes)) {
   if (!metrics_label.empty()) {
@@ -89,7 +93,10 @@ TcpTransport::TcpTransport(Reactor& reactor, std::string_view metrics_label)
 }
 
 TcpTransport::~TcpTransport() {
-  for (auto& [ep, l] : listeners_) reactor_.unwatch_readable(l.fd.get());
+  for (auto& [ep, l] : listeners_) {
+    reactor_.unwatch_readable(l.fd.get());
+    reactor_.cancel(l.rewatch_timer);
+  }
   for (auto& [fd, c] : conns_) {
     reactor_.unwatch_readable(fd);
     if (c.writable_watched) reactor_.unwatch_writable(fd);
@@ -121,7 +128,7 @@ Status TcpTransport::bind(const Endpoint& self, PacketHandler handler) {
   if (!fd) return fd.error();
   const int raw = fd->get();
   listeners_.emplace(self, Listener{std::move(*fd), std::move(handler)});
-  reactor_.watch_readable(raw, [this, raw] { on_listener_readable(raw); });
+  watch_listener(raw);
   return {};
 }
 
@@ -129,6 +136,7 @@ void TcpTransport::unbind(const Endpoint& self) {
   auto it = listeners_.find(self);
   if (it == listeners_.end()) return;
   reactor_.unwatch_readable(it->second.fd.get());
+  reactor_.cancel(it->second.rewatch_timer);
   listeners_.erase(it);
 }
 
@@ -291,19 +299,42 @@ void TcpTransport::on_conn_writable(int fd) {
   (void)flush(fd);  // drains the outbox; unwatches writable once empty
 }
 
+TcpTransport::Listener* TcpTransport::listener_for(int listener_fd) {
+  // There are at most a handful of listeners.
+  for (auto& [ep, l] : listeners_) {
+    if (l.fd.get() == listener_fd) return &l;
+  }
+  return nullptr;
+}
+
+void TcpTransport::watch_listener(int listener_fd) {
+  reactor_.watch_readable(
+      listener_fd, [this, listener_fd] { on_listener_readable(listener_fd); });
+}
+
 void TcpTransport::on_listener_readable(int listener_fd) {
   for (;;) {
-    // Find the listener by fd (there are at most a handful).
-    const Listener* listener = nullptr;
-    for (const auto& [ep, l] : listeners_) {
-      if (l.fd.get() == listener_fd) {
-        listener = &l;
-        break;
-      }
-    }
+    Listener* listener = listener_for(listener_fd);
     if (listener == nullptr) return;
     auto accepted = tcp_accept(listener->fd);
-    if (!accepted) return;  // kUnavailable: drained
+    if (!accepted) {
+      if (accepted.code() == Err::kUnavailable) return;  // drained
+      accept_errors_->inc();
+      if (accepted.code() == Err::kOverloaded) {
+        // Out of descriptors: the connection stays in the backlog, so the
+        // level-triggered listener would fire again at once and spin the
+        // reactor. Stop watching and look again after a short pause.
+        reactor_.unwatch_readable(listener_fd);
+        listener->rewatch_timer =
+            reactor_.schedule(kAcceptBackoff, [this, listener_fd] {
+              Listener* l = listener_for(listener_fd);
+              if (l == nullptr) return;
+              l->rewatch_timer = kInvalidTimer;
+              watch_listener(listener_fd);
+            });
+      }
+      return;
+    }
     const int raw = accepted->get();
     Conn conn;
     conn.id = next_conn_id_++;

@@ -103,6 +103,8 @@ class TcpTransport final : public Transport {
   struct Listener {
     Fd fd;
     PacketHandler handler;
+    /// Set while accepting is paused for lack of descriptors.
+    TimerId rewatch_timer = kInvalidTimer;
   };
 
   Status flush(int fd);
@@ -110,6 +112,8 @@ class TcpTransport final : public Transport {
   void on_conn_readable(int fd);
   void on_conn_writable(int fd);
   void on_listener_readable(int listener_fd);
+  void watch_listener(int listener_fd);
+  Listener* listener_for(int listener_fd);
   void dispatch_frames(int fd);
   int ensure_connection(const Endpoint& to, Status& status);
   /// Adjust the shared outbox accounting (and its gauges) by +/- delta. The
@@ -130,6 +134,7 @@ class TcpTransport final : public Transport {
   std::unordered_map<Endpoint, int, EndpointHash> peer_conn_;  // peer -> fd
   obs::Counter* backpressure_rejects_;
   obs::Counter* frames_truncated_;
+  obs::Counter* accept_errors_;
   obs::Gauge* conns_open_;
   obs::Gauge* outbox_bytes_;
   // Per-shard labelled twins (null when no metrics label was given).

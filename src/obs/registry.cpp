@@ -166,7 +166,8 @@ const std::vector<const char*>& mandatory_counters() {
       names::kNetLateRescues,     names::kNetDuplicateResponses,
       names::kNetShortCircuits,   names::kNetBreakerOpened,
       names::kNetFramesCorrupt,   names::kNetFramesTruncated,
-      names::kNetBackpressureRejects, names::kGossipSyncRounds,
+      names::kNetBackpressureRejects, names::kNetAcceptErrors,
+      names::kGossipSyncRounds,
       names::kGossipPolls,
       names::kGossipUpdatesPushed, names::kGossipStatesAbsorbed,
       names::kGossipDeltaBlobs,   names::kGossipMergeNew,

@@ -174,6 +174,7 @@ inline constexpr const char* kNetBreakerOpened = "net.breaker.opened";
 inline constexpr const char* kNetFramesCorrupt = "net.frames.corrupt";
 inline constexpr const char* kNetFramesTruncated = "net.frames.truncated";
 inline constexpr const char* kNetBackpressureRejects = "net.backpressure_rejects";
+inline constexpr const char* kNetAcceptErrors = "net.accept_errors";
 inline constexpr const char* kNetConnsOpen = "net.conns_open";
 inline constexpr const char* kNetOutboxBytes = "net.outbox_bytes";
 inline constexpr const char* kNetCallLatencyUs = "net.call.latency_us";

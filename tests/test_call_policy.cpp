@@ -62,9 +62,10 @@ class CallPolicyTest : public ::testing::Test {
   /// dynamic time-out (tail p98 * 2.5 = 250 ms) and the hedge trigger
   /// (tail p95 = 100 ms) are exactly known.
   void seed_rtt(MsgType type, Duration rtt = 100 * kMillisecond) {
-    const EventTag tag = EventTag::of(server.self(), type);
+    CallPolicy& policy = client.call_policy();
+    const CallPolicy::Route r = policy.resolve(server.self(), type);
     for (int i = 0; i < 100; ++i) {
-      client.call_policy().timeouts().on_result(tag, rtt, true);
+      policy.on_attempt_result(r.dest, r.stream, 0, 0, rtt, true);
     }
   }
 
@@ -409,6 +410,70 @@ TEST(CircuitBreakerUnit, StaleBurstEvidenceCannotLatchTheBreaker) {
   // discounted, not failure itself (OpensHalfOpensAndCloses pins that too).
 }
 
+// --------------------------------------------------------------------------
+// The per-destination table, driven directly.
+
+TEST(CallPolicyUnit, AbandonedPlainAttemptKeepsTheLiveProbeSlot) {
+  // Regression: abandoning an attempt admitted while the breaker was closed
+  // used to free a probe slot the attempt never took. With a half-open
+  // probe in flight, that let a second concurrent probe through despite
+  // half_open_probes = 1.
+  CallPolicy::Options o;
+  o.breaker_enabled = true;
+  o.breaker.failure_threshold = 2;
+  o.breaker.open_for = kSecond;
+  o.breaker.half_open_probes = 1;
+  CallPolicy policy(o);
+  AggregateCallStats sink;
+  policy.set_stats_sink(&sink);
+  const CallPolicy::Route r = policy.resolve(Endpoint{"server", 1}, kEcho);
+
+  const Admission plain = policy.admit(r.dest, 0);  // closed: no probe slot
+  EXPECT_EQ(plain, Admission::kAdmitted);
+  const TimePoint t1 = 10 * kMillisecond;
+  const TimePoint t2 = 20 * kMillisecond;
+  policy.on_attempt_result(r.dest, r.stream, t1, t1, 0, false);
+  policy.on_attempt_result(r.dest, r.stream, t2, t2, 0, false);  // trips
+  EXPECT_EQ(r.dest.breaker.peek_state(), CircuitBreaker::State::kOpen);
+
+  const TimePoint half_open = t2 + kSecond;
+  const Admission probe = policy.admit(r.dest, half_open);
+  EXPECT_EQ(probe, Admission::kProbe);
+  policy.on_attempt_abandoned(r.dest, plain);  // its call completed first
+  EXPECT_EQ(policy.admit(r.dest, half_open), Admission::kShed);
+
+  // Abandoning the probe itself does hand its slot back.
+  policy.on_attempt_abandoned(r.dest, probe);
+  EXPECT_EQ(policy.admit(r.dest, half_open), Admission::kProbe);
+}
+
+TEST(CallPolicyUnit, InitialAndMaxAttemptTimeoutBoundDiscovery) {
+  CallPolicy policy;
+  const Endpoint to{"server", 1};
+  const CallPolicy::Route r = policy.resolve(to, kEcho);
+  EXPECT_EQ(&policy.resolve(to, kEcho).stream, &r.stream);  // one stream
+
+  // Resolved but never measured: the per-call initial time-out applies.
+  CallOptions o;
+  o.initial_timeout = 300 * kMillisecond;
+  EXPECT_EQ(policy.forecast(to, kEcho).samples, 0u);
+  EXPECT_EQ(policy.attempt_timeout(r.stream, o), 300 * kMillisecond);
+  EXPECT_EQ(policy.attempt_timeout(r.stream, CallOptions{}),
+            AdaptiveTimeout::Options{}.initial);
+
+  // One failed attempt feeds the inflated pseudo-sample: the stream is now
+  // measured and the discovered value replaces the initial one.
+  policy.on_attempt_result(r.dest, r.stream, 0, 0, 300 * kMillisecond, false);
+  EXPECT_EQ(policy.forecast(to, kEcho).samples, 1u);
+  const Duration discovered = policy.attempt_timeout(r.stream, CallOptions{});
+  EXPECT_GT(discovered, AdaptiveTimeout::Options{}.initial);
+  EXPECT_EQ(policy.attempt_timeout(r.stream, o), discovered);
+
+  // max_attempt_timeout caps the discovered value.
+  o.max_attempt_timeout = 2 * kSecond;
+  EXPECT_EQ(policy.attempt_timeout(r.stream, o), 2 * kSecond);
+}
+
 TEST_F(CallPolicyTest, BurstToBrieflySlowPeerDoesNotLatchBreaker) {
   // End-to-end shape of the WISH barrier fan-out: 64 one-shot calls launched
   // together at a peer that stops answering just then. Their timeouts are
@@ -594,7 +659,8 @@ TEST_F(OverloadedCallTest, BreakerNeverObservesOverload) {
     events.run_until_idle();
   }
   EXPECT_EQ(client_transport.rejected, 9);
-  CircuitBreaker& b = client.call_policy().breakers().at(server.self());
+  const CircuitBreaker& b =
+      client.call_policy().resolve(server.self(), kEcho).dest.breaker;
   EXPECT_EQ(b.times_opened(), 0u);
   EXPECT_EQ(b.peek_state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(stat(obs::names::kNetShortCircuits), 0u);
@@ -619,7 +685,7 @@ TEST_F(OverloadedCallTest, ForecasterNeverObservesOverload) {
   // — a full local outbox must not poison the per-server RTT model.
   EXPECT_EQ(client_transport.rejected, 3);
   EXPECT_EQ(rtt_observations, 0);
-  EXPECT_EQ(client.call_policy().timeouts().bank().tracked_events(), 0u);
+  EXPECT_EQ(client.call_policy().forecast(server.self(), kEcho).samples, 0u);
   // A real round trip DOES feed both — the exclusion is specific to
   // backpressure, not a dead observer.
   client_transport.reject_requests = 0;
@@ -627,7 +693,7 @@ TEST_F(OverloadedCallTest, ForecasterNeverObservesOverload) {
               [](Result<Bytes>) {});
   events.run_until_idle();
   EXPECT_EQ(rtt_observations, 1);
-  EXPECT_EQ(client.call_policy().timeouts().bank().tracked_events(), 1u);
+  EXPECT_EQ(client.call_policy().forecast(server.self(), kEcho).samples, 1u);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <deque>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -270,53 +269,6 @@ TEST(AdaptiveForecasterIncremental, BestIndexRegressionOnKnownTraces) {
     const Forecast fc = f.forecast();
     EXPECT_EQ(fc.method, "median(31)");
     EXPECT_NEAR(fc.value, 10.0, 1.0);
-  }
-}
-
-// --- Sharded bank ----------------------------------------------------------
-
-TEST(ShardedEventForecasterBank, AgreesWithPlainBank) {
-  EventForecasterBank plain;
-  ShardedEventForecasterBank sharded(4);
-  Rng rng(55);
-  const std::vector<EventTag> tags = {
-      {"a:1", 1}, {"a:1", 2}, {"b:7", 1}, {"c:9", 3}};
-  for (int i = 0; i < 1000; ++i) {
-    const EventTag& tag = tags[rng.below(tags.size())];
-    const double v = rng.uniform(50, 150);
-    plain.record(tag, v);
-    sharded.record(tag, v);
-  }
-  EXPECT_EQ(sharded.tracked_events(), plain.tracked_events());
-  for (const auto& tag : tags) {
-    const Forecast p = plain.forecast(tag);
-    const Forecast s = sharded.forecast(tag);
-    EXPECT_EQ(p.value, s.value) << tag.to_string();
-    EXPECT_EQ(p.samples, s.samples) << tag.to_string();
-    EXPECT_EQ(p.method, s.method) << tag.to_string();
-  }
-}
-
-TEST(ShardedEventForecasterBank, ConcurrentRecordersDontInterfere) {
-  ShardedEventForecasterBank bank(8);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 2000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&bank, t] {
-      const EventTag tag{"srv:" + std::to_string(t), 1};
-      for (int i = 0; i < kPerThread; ++i) {
-        bank.record(tag, 100.0 + t);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(bank.tracked_events(), static_cast<std::size_t>(kThreads));
-  for (int t = 0; t < kThreads; ++t) {
-    const Forecast f = bank.forecast(EventTag{"srv:" + std::to_string(t), 1});
-    EXPECT_EQ(f.samples, static_cast<std::size_t>(kPerThread));
-    EXPECT_DOUBLE_EQ(f.value, 100.0 + t);
   }
 }
 

@@ -4,10 +4,12 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/serialize.hpp"
 #include "gossip/clique.hpp"
@@ -619,6 +621,96 @@ TEST(TcpTransport, OutboxOverflowRejectsWithOverloaded) {
   EXPECT_GT(obs::registry().counter(obs::names::kNetBackpressureRejects).value(),
             rejects_before);
   EXPECT_LE(transport.queued_bytes(), 64 * 1024u);
+}
+
+/// Process CPU time (user + system) so far, in seconds.
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+/// Lowers RLIMIT_NOFILE and fills the descriptor table up to it; the
+/// destructor frees the filler descriptors and restores the limit.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit low = saved_;
+    low.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 512);
+    setrlimit(RLIMIT_NOFILE, &low);
+    for (;;) {
+      const int fd = ::dup(STDERR_FILENO);
+      if (fd < 0) break;
+      fillers_.push_back(fd);
+    }
+  }
+  ~FdExhaustion() { release(); }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+  void release() {
+    for (int fd : fillers_) ::close(fd);
+    fillers_.clear();
+    setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+ private:
+  rlimit saved_{};
+  std::vector<int> fillers_;
+};
+
+TEST(TcpTransport, AcceptBacksOffInsteadOfSpinningWhenFdsRunOut) {
+  // With the descriptor table full, accept(2) fails with EMFILE and the
+  // pending connection stays queued, so a level-triggered listener is
+  // readable forever. The transport must back off rather than spin the
+  // reactor, count the failures, and accept the queue once fds free up.
+  for (ReactorBackend backend : all_backends()) {
+    SCOPED_TRACE(backend == ReactorBackend::kEpoll ? "epoll" : "select");
+    Reactor reactor(backend);
+    TcpTransport transport(reactor);
+    std::uint16_t port = 0;
+    {
+      auto probe = tcp_listen(0);
+      ASSERT_TRUE(probe.ok());
+      port = pick_port(*probe);
+    }
+    const Endpoint self{"127.0.0.1", port};
+    ASSERT_TRUE(transport.bind(self, [](IncomingMessage) {}).ok());
+    // One ordinary accept first. Besides the normal path, this lets
+    // sanitizer builds run their first-use checks while descriptors are
+    // still free: UBSan's vptr check opens a pipe the first time it meets
+    // a type.
+    auto c0 = tcp_connect(self, kSecond);
+    ASSERT_TRUE(c0.ok());
+    for (int i = 0; i < 100 && transport.open_connections() < 1; ++i) {
+      reactor.run_for(10 * kMillisecond);
+    }
+    ASSERT_EQ(transport.open_connections(), 1u);
+    // The kernel completes both handshakes into the listen backlog; neither
+    // connection needs accept(2) for that.
+    auto c1 = tcp_connect(self, kSecond);
+    auto c2 = tcp_connect(self, kSecond);
+    ASSERT_TRUE(c1.ok() && c2.ok());
+
+    const std::uint64_t errors_before =
+        obs::registry().counter(obs::names::kNetAcceptErrors).value();
+    FdExhaustion exhausted;
+    const double cpu_before = process_cpu_s();
+    reactor.run_for(kSecond);
+    const double cpu_used = process_cpu_s() - cpu_before;
+    EXPECT_LT(cpu_used, 0.25) << "accept loop spun on EMFILE";
+    EXPECT_GT(obs::registry().counter(obs::names::kNetAcceptErrors).value(),
+              errors_before);
+    EXPECT_EQ(transport.open_connections(), 1u);
+
+    exhausted.release();
+    for (int i = 0; i < 100 && transport.open_connections() < 3; ++i) {
+      reactor.run_for(10 * kMillisecond);
+    }
+    EXPECT_EQ(transport.open_connections(), 3u);
+  }
 }
 
 }  // namespace

@@ -113,9 +113,9 @@ TEST_F(ServiceFrameworkTest, ContextCallFeedsTimeoutForecasts) {
   ASSERT_TRUE(caller.start().ok());
   events_.run_for(2 * kMinute);
   EXPECT_GE(cm->ok_, 20);
-  // The adaptive timeout bank has learned this event.
-  const Forecast f = caller.timeouts().bank().forecast(
-      EventTag::of(Endpoint{"svc", 100}, kPing));
+  // The caller's (destination, type) stream has learned this event.
+  const Forecast f =
+      caller.node().call_policy().forecast(Endpoint{"svc", 100}, kPing);
   EXPECT_GT(f.samples, 10u);
 }
 
