@@ -1,5 +1,5 @@
-# Smoke harness for the microbenchmarks: run each for one short iteration
-# and fail if either crashes or rejects its flags. Invoked by the
+# Smoke harness for the benches: run each for one short iteration and fail
+# if any crashes or rejects its flags. Invoked by the
 # `bench_smoke` CTest target (see CMakeLists.txt here).
 execute_process(COMMAND ${MICRO_FORECAST} --quick RESULT_VARIABLE rc_forecast)
 if(NOT rc_forecast EQUAL 0)
@@ -20,6 +20,13 @@ if(NOT rc_packet EQUAL 0)
   message(FATAL_ERROR "micro_packet --quick failed (exit ${rc_packet})")
 endif()
 
+# Ramsey kernels: --quick shrinks the iteration counts but still asserts
+# the Paley(17) counter-example verifies.
+execute_process(COMMAND ${MICRO_RAMSEY} --quick RESULT_VARIABLE rc_ramsey)
+if(NOT rc_ramsey EQUAL 0)
+  message(FATAL_ERROR "micro_ramsey --quick failed (exit ${rc_ramsey})")
+endif()
+
 # Reliable-call policy arms (retry/hedge vs bare call under injected loss).
 # --quick shrinks the call count but still asserts the policy arms dominate.
 execute_process(COMMAND ${ABLATION_TIMEOUTS} --quick RESULT_VARIABLE rc_policy)
@@ -27,16 +34,15 @@ if(NOT rc_policy EQUAL 0)
   message(FATAL_ERROR "ablation_timeouts --quick failed (exit ${rc_policy})")
 endif()
 
-# Real-network scale gate: a short closed-loop soak over loopback TCP.
-# Non-zero exit means a lost/duplicated reply or a connection shortfall.
-execute_process(COMMAND ${C10K_SOAK} --quick RESULT_VARIABLE rc_c10k)
-if(NOT rc_c10k EQUAL 0)
-  message(FATAL_ERROR "c10k_soak --quick failed (exit ${rc_c10k})")
+# Real-network scale gate: a short closed-loop soak over loopback TCP, first
+# on one reactor (the paper's single-threaded server shape), then across
+# four SO_REUSEPORT reactor shards. Non-zero exit means a lost/duplicated/
+# failed reply, a stuck client, a connection shortfall, or broken
+# cross-shard distribution.
+execute_process(COMMAND ${C100K_SOAK} --quick --shards 1 RESULT_VARIABLE rc_soak1)
+if(NOT rc_soak1 EQUAL 0)
+  message(FATAL_ERROR "c100k_soak --quick --shards 1 failed (exit ${rc_soak1})")
 endif()
-
-# Sharded scale gate: the same closed loop across SO_REUSEPORT reactor
-# shards. Non-zero exit means a lost/duplicated/failed reply, a stuck
-# client, a connection shortfall, or broken cross-shard distribution.
 execute_process(COMMAND ${C100K_SOAK} --quick RESULT_VARIABLE rc_c100k)
 if(NOT rc_c100k EQUAL 0)
   message(FATAL_ERROR "c100k_soak --quick failed (exit ${rc_c100k})")

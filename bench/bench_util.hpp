@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
@@ -92,6 +93,42 @@ inline void emit_json(std::string_view name, const JsonWriter& fields) {
   JsonWriter line;
   line.str("bench", name).merge(fields);
   std::printf("%s\n", line.object().c_str());
+}
+
+/// Monotonic wall clock in ns, for the microbenchmarks' timed loops.
+inline double now_ns() {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+struct Timed {
+  double ns_per_op;
+  double checksum;  // defeats dead-code elimination; reported in the JSON
+};
+
+/// Run `op(i)` for i in [0, iters) and report ns per call plus the sum of
+/// its results.
+template <typename F>
+Timed time_per_op(std::size_t iters, F&& op) {
+  double sink = 0.0;
+  const double t0 = now_ns();
+  for (std::size_t i = 0; i < iters; ++i) sink += op(i);
+  const double t1 = now_ns();
+  return {(t1 - t0) / static_cast<double>(iters), sink};
+}
+
+/// Floor nearest-rank percentile: the sample at index floor(p * (n - 1))
+/// of the sorted samples, found with nth_element over a copy. 0 for no
+/// samples.
+template <typename T>
+T percentile(std::vector<T> v, double p) {
+  if (v.empty()) return T{};
+  const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
+                   v.end());
+  return v[idx];
 }
 
 /// Wall-clock label for a recording-window offset (t=0 is 23:36:56 PST).

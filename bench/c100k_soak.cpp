@@ -1,31 +1,38 @@
-// c100k_soak — the sharded real-network scale gate.
+// c100k_soak — the real-network scale gate.
 //
-// The multi-core successor to c10k_soak: N reactor shards (ReactorShardPool,
-// one OS thread each), every shard running a server Node whose transport
-// binds the SAME port with SO_REUSEPORT so the kernel spreads inbound
-// connections across shards with no accept lock. Clients (each its own
-// Node + TcpTransport, a real kernel connection, closed-loop call/await/
-// call) are distributed round-robin over the same shards. All traffic rides
-// the PR-6 zero-copy wire path: single-allocation routed encode, iovec
-// scatter-gather flush, recv-into-parser + view dispatch.
+// N reactor shards (ReactorShardPool, one OS thread each), every shard
+// running a server Node whose transport binds the SAME port with
+// SO_REUSEPORT so the kernel spreads inbound connections across shards with
+// no accept lock. Clients (each its own Node + TcpTransport, a real kernel
+// connection, closed-loop call/await/call) are distributed round-robin over
+// the same shards. All traffic rides the zero-copy wire path:
+// single-allocation routed encode, iovec scatter-gather flush,
+// recv-into-parser + view dispatch.
+//
+// `--shards 1` is the paper's server shape (§5.1): one single-threaded
+// reactor hosts the server Node and every client Node, with the same
+// 64-byte closed-loop echo and the same gates. The epoll backend carries it
+// past FD_SETSIZE, which the select() backend physically cannot.
 //
 // The harness verifies scale *and* correctness: every call completes
 // exactly once — zero lost, zero duplicated, zero failed replies, zero
 // stuck clients — across shard boundaries (a client on shard 0 may be
-// served by shard 3; the reply must come back over the same connection).
-// Exit status is non-zero on any violation, so bench_smoke and the
-// sanitizer/TSan lanes gate on it. Cross-shard metrics correctness rides
-// along: every transport updates the shared net.* gauges by atomic delta
-// from its own thread, with per-shard {shard=K} twins for attribution.
+// served by shard 3; the reply must come back over the same connection),
+// and every connection is held at once. Exit status is non-zero on any
+// violation, so bench_smoke and the sanitizer/TSan lanes gate on it.
+// Cross-shard metrics correctness rides along: every transport updates the
+// shared net.* gauges by atomic delta from its own thread, with per-shard
+// {shard=K} twins for attribution.
 //
 // Emits one machine-readable JSON line (see EXPERIMENTS.md):
 //   {"bench":"c100k_soak","backend":"epoll","shards":4,"connections":...}
 //
 // Full scale (20k conns / 4+ shards / >=10x single-reactor throughput)
 // needs a multi-core box and an fd budget of ~3 fds per client; the
-// harness self-caps to RLIMIT_NOFILE and reports what it ran. The
-// throughput gate is therefore opt-in: --min-rate R fails the run under R
-// calls/s; correctness is always gated.
+// harness self-caps to RLIMIT_NOFILE and reports what it ran, and exits 2
+// if the budget cannot hold one connection per shard. The throughput gate
+// is therefore opt-in: --min-rate R fails the run under R calls/s;
+// correctness is always gated.
 //
 // Flags: --quick (CI smoke: 4 shards, 400 conns, 0.7 s), --shards N,
 // --conns N, --seconds S, --min-rate R, --select (portable backend,
@@ -135,15 +142,6 @@ Totals sample(Harness& h) {
   return t;
 }
 
-std::uint64_t percentile(std::vector<std::uint64_t>& v, double p) {
-  if (v.empty()) return 0;
-  const std::size_t idx =
-      static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                   v.end());
-  return v[idx];
-}
-
 std::uint64_t max_rss_kb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
@@ -193,8 +191,16 @@ int run(int argc, char** argv) {
   }
   const std::size_t fd_budget =
       rl.rlim_cur > 96 ? static_cast<std::size_t>(rl.rlim_cur) - 96 : 0;
-  if (conns * 3 > fd_budget) {
-    conns = fd_budget / 3;
+  const std::size_t max_conns = fd_budget / 3;
+  if (max_conns < nshards) {
+    std::fprintf(stderr,
+                 "c100k_soak: RLIMIT_NOFILE=%llu leaves no fd budget for one "
+                 "connection per shard (%zu shards)\n",
+                 static_cast<unsigned long long>(rl.rlim_cur), nshards);
+    return 2;
+  }
+  if (conns > max_conns) {
+    conns = max_conns;
     std::fprintf(stderr,
                  "c100k_soak: RLIMIT_NOFILE=%llu caps run at %zu conns\n",
                  static_cast<unsigned long long>(rl.rlim_cur), conns);
@@ -205,10 +211,6 @@ int run(int argc, char** argv) {
     conns = std::min<std::size_t>(conns, 200);
   }
   if (conns < nshards) conns = nshards;
-  if (conns == 0) {
-    std::fprintf(stderr, "c100k_soak: no fd budget\n");
-    return 2;
-  }
 
   // Reserve one distinct loopback port per client endpoint (plus one for
   // the shared server port) by holding OS-assigned listeners open, then
@@ -375,8 +377,8 @@ int run(int argc, char** argv) {
       .u64("failed", fin.failed)
       .f("calls_per_s", calls_per_s, 1)
       .f("msgs_per_s", 2 * calls_per_s, 1)  // one request + one reply per call
-      .u64("p50_us", percentile(latencies, 0.50))
-      .u64("p99_us", percentile(latencies, 0.99))
+      .u64("p50_us", bench::percentile(latencies, 0.50))
+      .u64("p99_us", bench::percentile(latencies, 0.99))
       .u64("backpressure_rejects",
            obs::registry().counter(obs::names::kNetBackpressureRejects).value())
       .u64("max_rss_kb", max_rss_kb());

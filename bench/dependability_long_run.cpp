@@ -30,13 +30,6 @@ using namespace ew::bench;
 
 namespace {
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
-
 /// Crash-to-recovery times: for each chaos crash with a restart inside the
 /// trace, the time from the crash until the first post-restart span tagged
 /// with an endpoint on that host — i.e. until the role demonstrably acts

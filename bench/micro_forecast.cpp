@@ -13,7 +13,6 @@
 //
 // `--quick` shrinks the iteration counts so the bench_smoke CTest target can
 // prove the harness still builds and runs without burning CI time.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,12 +28,9 @@
 namespace ew {
 namespace {
 
-double now_ns() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using bench::now_ns;
+using bench::Timed;
+using bench::time_per_op;
 
 /// Pre-generated input series so the timed loops measure forecasting, not
 /// random-number generation.
@@ -43,20 +39,6 @@ std::vector<double> make_series(std::size_t n, std::uint64_t seed) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.uniform(50, 150);
   return v;
-}
-
-struct Timed {
-  double ns_per_op;
-  double checksum;  // defeats dead-code elimination; reported in the JSON
-};
-
-template <typename F>
-Timed time_per_op(std::size_t iters, F&& op) {
-  double sink = 0.0;
-  const double t0 = now_ns();
-  for (std::size_t i = 0; i < iters; ++i) sink += op(i);
-  const double t1 = now_ns();
-  return {(t1 - t0) / static_cast<double>(iters), sink};
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 //    "ns_per_hist_record":...,"ns_per_trace_record":...,
 //    "ns_per_trace_disabled":...,"record_allocs":...,"checksum":...}
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,35 +42,10 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-namespace ew {
-namespace {
-
-double now_ns() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-struct Timed {
-  double ns_per_op;
-  double checksum;  // defeats dead-code elimination; reported in the JSON
-};
-
-template <typename F>
-Timed time_per_op(std::size_t iters, F&& op) {
-  double sink = 0.0;
-  const double t0 = now_ns();
-  for (std::size_t i = 0; i < iters; ++i) sink += op(i);
-  const double t1 = now_ns();
-  return {(t1 - t0) / static_cast<double>(iters), sink};
-}
-
-}  // namespace
-}  // namespace ew
-
 int main(int argc, char** argv) {
   using namespace ew;
+  using bench::Timed;
+  using bench::time_per_op;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;

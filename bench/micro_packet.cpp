@@ -18,7 +18,6 @@
 //    "ns_parse_view_64":...,"ns_parse_view_4096":...,
 //    "encode_allocs_per_frame":...,"parse_view_allocs":...,"checksum":...}
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,12 +48,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ew {
 namespace {
 
-double now_ns() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using bench::now_ns;
 
 std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 

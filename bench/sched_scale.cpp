@@ -173,13 +173,6 @@ struct Driver {
   int pending = 0;
 };
 
-std::uint64_t percentile_us(std::vector<std::uint64_t> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-  return v[idx];
-}
-
 }  // namespace
 }  // namespace ew::core
 
@@ -323,8 +316,8 @@ int main(int argc, char** argv) {
       sched.pool().assigned_count() == assigned_before_probe;
 
   const std::uint64_t outstanding = sched.pool().assigned_count();
-  const std::uint64_t p99 = percentile_us(driver.latencies_us, 0.99);
-  const std::uint64_t p50 = percentile_us(driver.latencies_us, 0.50);
+  const std::uint64_t p99 = bench::percentile(driver.latencies_us, 0.99);
+  const std::uint64_t p50 = bench::percentile(driver.latencies_us, 0.50);
 
   bench::JsonWriter w;
   w.u64("clients", kClients)

@@ -352,12 +352,8 @@ class Storm {
   }
 
   [[nodiscard]] double percentile_ms(double p) const {
-    if (spawn_latencies_.empty()) return 0.0;
-    std::vector<Duration> v = spawn_latencies_;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(v.size() - 1) + 0.5);
-    return static_cast<double>(v[idx]) / kMillisecond;
+    return static_cast<double>(bench::percentile(spawn_latencies_, p)) /
+           kMillisecond;
   }
 
   int report() {

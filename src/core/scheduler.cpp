@@ -184,16 +184,12 @@ void SchedulerServer::on_register(const IncomingMessage& msg, const Responder& r
 
 void SchedulerServer::on_report_batch(const IncomingMessage& msg,
                                       const Responder& resp) {
-  auto batch = ReportBatch::deserialize(msg.packet.payload);
-  if (!batch) {
-    resp.fail(Err::kProtocol, batch.error().message);
+  auto parsed = ReportBatch::deserialize(msg.packet.payload);
+  if (!parsed) {
+    resp.fail(Err::kProtocol, parsed.error().message);
     return;
   }
-  handle_report_batch(std::move(*batch), resp);
-}
-
-void SchedulerServer::handle_report_batch(ReportBatch&& batch,
-                                          const Responder& resp) {
+  const ReportBatch& batch = *parsed;
   auto it = clients_.find(batch.client);
   if (it == clients_.end()) {
     // We do not know this client (scheduler restarted, or the client was

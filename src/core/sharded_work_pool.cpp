@@ -51,10 +51,6 @@ std::optional<ramsey::WorkSpec> ShardedWorkPool::issue_unit(
 }
 
 void ShardedWorkPool::report_many(std::span<const ramsey::WorkReport> reps) {
-  if (shards_.size() == 1) {
-    shards_.front().report_many(reps);
-    return;
-  }
   // Per-item dispatch: reports carry graph blobs, so regrouping into
   // per-shard vectors would copy them; report has no cross-item batching
   // advantage inside a shard anyway.
@@ -64,10 +60,6 @@ void ShardedWorkPool::report_many(std::span<const ramsey::WorkReport> reps) {
 }
 
 void ShardedWorkPool::reclaim_many(std::span<const std::uint64_t> ids) {
-  if (shards_.size() == 1) {
-    shards_.front().release_many(ids);
-    return;
-  }
   // Ids are cheap to regroup; each shard then trims its frontier once.
   std::vector<std::vector<std::uint64_t>> by_shard(shards_.size());
   for (auto id : ids) by_shard[owner_of(id)].push_back(id);
@@ -76,22 +68,8 @@ void ShardedWorkPool::reclaim_many(std::span<const std::uint64_t> ids) {
   }
 }
 
-ramsey::WorkSpec ShardedWorkPool::acquire() { return issue_many(1).front(); }
-
-void ShardedWorkPool::report(const ramsey::WorkReport& rep) {
-  shards_[owner_of(rep.unit_id)].report(rep);
-}
-
-void ShardedWorkPool::release(std::uint64_t unit_id) {
-  shards_[owner_of(unit_id)].release(unit_id);
-}
-
 void ShardedWorkPool::set_kind_chooser(WorkPool::KindChooser chooser) {
   for (auto& s : shards_) s.set_kind_chooser(chooser);
-}
-
-bool ShardedWorkPool::assigned(std::uint64_t unit_id) const {
-  return shards_[owner_of(unit_id)].assigned(unit_id);
 }
 
 std::optional<std::uint64_t> ShardedWorkPool::best_energy(

@@ -14,8 +14,8 @@
 // churn) has its orphaned frontier drained by whoever asks next — and is
 // counted in steals().
 //
-// With shards == 1 the router is a transparent wrapper: every operation maps
-// 1:1 onto a plain WorkPool, bit-identically (pinned by test).
+// With shards == 1 the router is a transparent wrapper: every batch leaves
+// the same state as the same calls on a plain WorkPool (pinned by test).
 #pragma once
 
 #include <cstdint>
@@ -49,14 +49,8 @@ class ShardedWorkPool {
   /// each shard trims its idle frontier once.
   void reclaim_many(std::span<const std::uint64_t> ids);
 
-  // Single-unit shims kept for tests and legacy call sites.
-  ramsey::WorkSpec acquire();
-  void report(const ramsey::WorkReport& rep);
-  void release(std::uint64_t unit_id);
-
   void set_kind_chooser(WorkPool::KindChooser chooser);
 
-  [[nodiscard]] bool assigned(std::uint64_t unit_id) const;
   [[nodiscard]] std::optional<std::uint64_t> best_energy(std::uint64_t unit_id) const;
   [[nodiscard]] std::optional<ramsey::HeuristicKind> unit_kind(std::uint64_t unit_id) const;
   [[nodiscard]] std::size_t idle_frontier_size() const;

@@ -234,48 +234,6 @@ Result<ParentDigest> ParentDigest::deserialize(const Bytes& data) {
   return d;
 }
 
-Bytes serialize_type_list(const std::vector<MsgType>& types) {
-  Writer w(4 + types.size() * 2);
-  w.u32(static_cast<std::uint32_t>(types.size()));
-  for (MsgType t : types) w.u16(t);
-  return w.take();
-}
-
-Result<std::vector<MsgType>> deserialize_type_list(const Bytes& data) {
-  Reader r(data);
-  auto n = read_count(r, sizeof(MsgType), "type list");
-  if (!n) return n.error();
-  std::vector<MsgType> out;
-  out.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto t = r.u16();
-    if (!t) return t.error();
-    out.push_back(*t);
-  }
-  return out;
-}
-
-Bytes serialize_blob_list(const std::vector<StateBlob>& blobs) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(blobs.size()));
-  for (const auto& b : blobs) write_state_blob(w, b);
-  return w.take();
-}
-
-Result<std::vector<StateBlob>> deserialize_blob_list(const Bytes& data) {
-  Reader r(data);
-  auto n = read_count(r, 6, "blob list");
-  if (!n) return n.error();
-  std::vector<StateBlob> out;
-  out.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto b = read_state_blob(r);
-    if (!b) return b.error();
-    out.push_back(std::move(*b));
-  }
-  return out;
-}
-
 Bytes PollRequest::serialize() const {
   Writer w(4 + held.size() * 18);
   w.u32(static_cast<std::uint32_t>(held.size()));

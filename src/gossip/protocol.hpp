@@ -135,12 +135,6 @@ struct ParentDigest {
   static Result<ParentDigest> deserialize(const Bytes& data);
 };
 
-/// Raw list codecs shared by the poll bodies below (and handy in tests).
-Bytes serialize_type_list(const std::vector<MsgType>& types);
-Result<std::vector<MsgType>> deserialize_type_list(const Bytes& data);
-Bytes serialize_blob_list(const std::vector<StateBlob>& blobs);
-Result<std::vector<StateBlob>> deserialize_blob_list(const Bytes& data);
-
 /// kGetStateBatch request: one summary line per polled type carrying the
 /// polling gossip's own stored copy's (version, checksum) — zeros when it
 /// holds nothing yet. The component compares against its current state and

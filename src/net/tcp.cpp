@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/select.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -23,14 +22,6 @@ Result<in_addr_t> resolve(const std::string& host) {
   in_addr addr{};
   if (inet_pton(AF_INET, host.c_str(), &addr) == 1) return addr.s_addr;
   return Error{Err::kRefused, "unresolvable host (numeric IPv4 only): " + host};
-}
-
-timeval to_timeval(Duration d) {
-  if (d < 0) d = 0;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(d / kSecond);
-  tv.tv_usec = static_cast<suseconds_t>(d % kSecond);
-  return tv;
 }
 
 }  // namespace
@@ -124,23 +115,6 @@ Status tcp_finish_connect(const Fd& fd, const Endpoint& to) {
   return {};
 }
 
-Result<Fd> tcp_connect(const Endpoint& to, Duration timeout) {
-  auto started = tcp_connect_start(to);
-  if (!started) return started.error();
-  if (started->completed) return std::move(started->fd);
-
-  fd_set wfds;
-  FD_ZERO(&wfds);
-  FD_SET(started->fd.get(), &wfds);
-  timeval tv = to_timeval(timeout);
-  const int sel = ::select(started->fd.get() + 1, nullptr, &wfds, nullptr, &tv);
-  if (sel == 0) return Error{Err::kTimeout, "connect " + to.to_string() + " timed out"};
-  if (sel < 0) return Error{Err::kInternal, "select: " + errno_str()};
-
-  if (Status s = tcp_finish_connect(started->fd, to); !s.ok()) return s.error();
-  return std::move(started->fd);
-}
-
 Result<Fd> tcp_accept(const Fd& listener) {
   Fd fd(::accept(listener.get(), nullptr, nullptr));
   if (!fd.valid()) {
@@ -157,14 +131,6 @@ Result<Fd> tcp_accept(const Fd& listener) {
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-Result<std::size_t> send_some(const Fd& fd, std::span<const std::uint8_t> data) {
-  if (data.empty()) return std::size_t{0};
-  const ssize_t n = ::send(fd.get(), data.data(), data.size(), MSG_NOSIGNAL);
-  if (n >= 0) return static_cast<std::size_t>(n);
-  if (errno == EWOULDBLOCK || errno == EAGAIN) return std::size_t{0};
-  return Error{Err::kClosed, "send: " + errno_str()};
 }
 
 Result<std::size_t> send_some(const Fd& fd,
@@ -191,18 +157,6 @@ Result<std::size_t> send_some(const Fd& fd,
   return Error{Err::kClosed, "sendmsg: " + errno_str()};
 }
 
-Result<std::size_t> recv_some(const Fd& fd, Bytes& out) {
-  std::uint8_t buf[16384];
-  const ssize_t n = ::recv(fd.get(), buf, sizeof(buf), 0);
-  if (n > 0) {
-    out.insert(out.end(), buf, buf + n);
-    return static_cast<std::size_t>(n);
-  }
-  if (n == 0) return Error{Err::kClosed, "peer closed"};
-  if (errno == EWOULDBLOCK || errno == EAGAIN) return std::size_t{0};
-  return Error{Err::kClosed, "recv: " + errno_str()};
-}
-
 Result<std::size_t> recv_into(const Fd& fd, std::span<std::uint8_t> out) {
   if (out.empty()) return std::size_t{0};
   const ssize_t n = ::recv(fd.get(), out.data(), out.size(), 0);
@@ -210,16 +164,6 @@ Result<std::size_t> recv_into(const Fd& fd, std::span<std::uint8_t> out) {
   if (n == 0) return Error{Err::kClosed, "peer closed"};
   if (errno == EWOULDBLOCK || errno == EAGAIN) return std::size_t{0};
   return Error{Err::kClosed, "recv: " + errno_str()};
-}
-
-Result<bool> wait_readable(const Fd& fd, Duration timeout) {
-  fd_set rfds;
-  FD_ZERO(&rfds);
-  FD_SET(fd.get(), &rfds);
-  timeval tv = to_timeval(timeout);
-  const int sel = ::select(fd.get() + 1, &rfds, nullptr, nullptr, &tv);
-  if (sel < 0) return Error{Err::kInternal, "select: " + errno_str()};
-  return sel > 0;
 }
 
 }  // namespace ew

@@ -1,10 +1,11 @@
 // Low-level TCP plumbing for the lingua franca.
 //
 // Faithful to the paper's portability decisions (Section 5.1): only the
-// "basic" socket calls (socket/bind/listen/accept/connect/send/recv) plus
-// select()-style readiness waiting; no signals, no threads, no fork()ed
-// watchdogs — connect time-outs use non-blocking sockets polled with
-// select(), the portable replacement the paper arrived at.
+// "basic" socket calls (socket/bind/listen/accept/connect/sendmsg/recv) on
+// non-blocking sockets whose readiness the Reactor waits for; no signals,
+// no threads, no fork()ed watchdogs. A dial starts a non-blocking connect
+// and its time-out is a reactor timer — the portable replacement the paper
+// arrived at.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +62,6 @@ Result<Fd> tcp_listen(std::uint16_t port, int backlog = 4096,
 /// The locally bound port of a socket (for port-0 listeners).
 Result<std::uint16_t> local_port(const Fd& fd);
 
-/// Connect to `to` with a time-out (non-blocking connect + select).
-/// Only numeric IPv4 addresses and "localhost" are resolved — the toolkit
-/// does not depend on a resolver library (cf. the NT Supercluster DNS
-/// incident, Section 5.5: name resolution is the deployment's problem).
-/// Blocks the caller for up to `timeout`; event-loop code should use
-/// tcp_connect_start + a writable watcher instead.
-Result<Fd> tcp_connect(const Endpoint& to, Duration timeout);
-
 /// A connect attempt in flight: the (non-blocking) socket plus whether the
 /// handshake already finished inside the connect() call (loopback fast
 /// path). When `completed` is false the socket selects writable once the
@@ -79,8 +72,10 @@ struct PendingConnect {
 };
 
 /// Begin a non-blocking connect to `to` and return immediately — never
-/// blocks, regardless of how dead the peer is. Resolution rules match
-/// tcp_connect.
+/// blocks, regardless of how dead the peer is. Only numeric IPv4 addresses
+/// and "localhost" are resolved — the toolkit does not depend on a resolver
+/// library (cf. the NT Supercluster DNS incident, Section 5.5: name
+/// resolution is the deployment's problem).
 Result<PendingConnect> tcp_connect_start(const Endpoint& to);
 
 /// After a started connect selects writable: read SO_ERROR and finish the
@@ -97,31 +92,19 @@ Status set_nonblocking(const Fd& fd);
 /// kOverloaded, since the connection then stays queued until some are freed.
 Result<Fd> tcp_accept(const Fd& listener);
 
-/// Send as much of `data` as the socket accepts right now (non-blocking).
-/// Returns the number of bytes written (possibly 0 on EWOULDBLOCK), or an
-/// error if the connection is dead.
-Result<std::size_t> send_some(const Fd& fd, std::span<const std::uint8_t> data);
-
-/// Scatter-gather variant: one sendmsg(2) over up to IOV_MAX byte ranges —
-/// several queued frames leave in a single syscall with no coalescing copy.
-/// Ranges beyond the iovec limit simply wait for the next flush. Returns
-/// bytes written (possibly 0 on EWOULDBLOCK), or an error if the connection
-/// is dead.
+/// Send as much as the socket accepts right now (non-blocking): one
+/// sendmsg(2) over up to IOV_MAX byte ranges — several queued frames leave
+/// in a single syscall with no coalescing copy. Ranges beyond the iovec
+/// limit simply wait for the next flush. Returns bytes written (possibly 0
+/// on EWOULDBLOCK), or an error if the connection is dead.
 Result<std::size_t> send_some(const Fd& fd,
                               std::span<const std::span<const std::uint8_t>> segments);
 
-/// Read whatever is available (non-blocking) into `out` (appending).
+/// Read whatever is available (non-blocking) directly into caller-provided
+/// storage — the zero-copy receive half: pass FrameParser::recv_buffer() so
+/// stream bytes land in the reassembly buffer with no intermediate chunk.
 /// Returns bytes read; 0 bytes with ok() means EWOULDBLOCK; kClosed means
 /// orderly shutdown by the peer.
-Result<std::size_t> recv_some(const Fd& fd, Bytes& out);
-
-/// Read directly into caller-provided storage (non-blocking) — the zero-copy
-/// receive half: pass FrameParser::recv_buffer() so stream bytes land in the
-/// reassembly buffer with no intermediate chunk. Same contract as recv_some.
 Result<std::size_t> recv_into(const Fd& fd, std::span<std::uint8_t> out);
-
-/// Block until `fd` is readable or `timeout` elapses (select()).
-/// Returns true if readable, false on time-out.
-Result<bool> wait_readable(const Fd& fd, Duration timeout);
 
 }  // namespace ew

@@ -38,8 +38,6 @@ std::vector<std::pair<const char*, Decoder>> decoders() {
       {"Delta", [](const Bytes& b) { return gossip::Delta::deserialize(b).ok(); }},
       {"ParentDigest",
        [](const Bytes& b) { return gossip::ParentDigest::deserialize(b).ok(); }},
-      {"GossipBlobList",
-       [](const Bytes& b) { return gossip::deserialize_blob_list(b).ok(); }},
       {"PollRequest",
        [](const Bytes& b) { return gossip::PollRequest::deserialize(b).ok(); }},
       {"PollReply",

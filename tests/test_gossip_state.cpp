@@ -364,25 +364,6 @@ TEST(ProtocolCodec, ParentDigestRoundTrip) {
   EXPECT_FALSE(ParentDigest::deserialize(w.bytes()).ok());
 }
 
-TEST(ProtocolCodec, TypeAndBlobListRoundTrip) {
-  const std::vector<MsgType> types{3, 1, 9};
-  const auto tl = deserialize_type_list(serialize_type_list(types));
-  ASSERT_TRUE(tl.ok());
-  EXPECT_EQ(*tl, types);
-  std::vector<StateBlob> blobs;
-  blobs.push_back(StateBlob{5, Bytes{1, 2, 3}});
-  const auto bl = deserialize_blob_list(serialize_blob_list(blobs));
-  ASSERT_TRUE(bl.ok());
-  ASSERT_EQ(bl->size(), 1u);
-  EXPECT_EQ((*bl)[0].type, 5);
-  EXPECT_EQ((*bl)[0].content, (Bytes{1, 2, 3}));
-  // Count guard on both list codecs.
-  Writer w;
-  w.u32(3'000'000);
-  EXPECT_FALSE(deserialize_type_list(w.bytes()).ok());
-  EXPECT_FALSE(deserialize_blob_list(w.bytes()).ok());
-}
-
 TEST(ProtocolCodec, PollRequestAndReplyRoundTrip) {
   PollRequest req;
   req.held.push_back(TypeSummary{7, 3, 0xabcdef});

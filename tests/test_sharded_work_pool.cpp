@@ -123,15 +123,16 @@ TEST(ShardedWorkPool, PerShardCheckpointReplaysOnlyOwnRange) {
 }
 
 TEST(ShardedWorkPool, SingleShardMatchesPlainWorkPoolBitForBit) {
-  // shards == 1 must be a transparent wrapper: the same operation sequence
-  // against a plain WorkPool leaves bit-identical exported state.
+  // shards == 1 must be a transparent wrapper: the same batches against a
+  // plain WorkPool leave bit-identical exported state.
   WorkPool::Options po = sharded(1).pool;
   WorkPool plain(po);
   ShardedWorkPool routed(sharded(1));
+  const auto routed_specs = routed.issue_many(5);
+  ASSERT_EQ(routed_specs.size(), 5u);
   std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 5; ++i) {
+  for (const auto& b : routed_specs) {
     const auto a = plain.acquire();
-    const auto b = routed.acquire();
     ASSERT_EQ(a.unit_id, b.unit_id);
     ASSERT_EQ(a.seed, b.seed);
     ids.push_back(a.unit_id);
@@ -145,19 +146,25 @@ TEST(ShardedWorkPool, SingleShardMatchesPlainWorkPoolBitForBit) {
   EXPECT_EQ(plain.export_frontier(), routed.shard(0).export_frontier());
   EXPECT_EQ(plain.units_issued(), routed.units_issued());
   EXPECT_EQ(plain.idle_frontier_size(), routed.idle_frontier_size());
+  // Frontier units come back in the same order from both.
+  const auto again = routed.issue_many(5);
+  for (const auto& b : again) EXPECT_EQ(plain.acquire().unit_id, b.unit_id);
 }
 
 TEST(ShardedWorkPool, IssueUnitRoutesMigrationReissue) {
   ShardedWorkPool pool(sharded(3));
   const auto specs = pool.issue_many(3);
   const auto id = specs[1].unit_id;
+  const std::uint32_t owner = pool.owner_of(id);
   EXPECT_FALSE(pool.issue_unit(id).has_value());  // still assigned
-  pool.report(report_for(id, 9));
-  pool.release(id);
+  pool.report_many(std::vector<ramsey::WorkReport>{report_for(id, 9)});
+  pool.reclaim_many(std::vector<std::uint64_t>{id});
+  EXPECT_FALSE(pool.shard(owner).assigned(id));
   const auto again = pool.issue_unit(id);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->unit_id, id);
-  EXPECT_TRUE(pool.assigned(id));
+  EXPECT_TRUE(pool.shard(owner).assigned(id));
+  EXPECT_EQ(pool.assigned_count(), 3u);
 }
 
 }  // namespace
