@@ -27,9 +27,9 @@
 //             "packets_per_call":...,"attempts_per_call":...},...],
 //    "extra_traffic_ratio":...,"completion_gain":...}
 //
-// `--quick` runs only Part 2 with a small call count so the bench_smoke
-// CTest target can prove the harness still builds and runs; `--policy`
-// runs only Part 2 at full size.
+// `--quick` runs only Part 2 with a small call count so the
+// ablation_timeouts_smoke ctest entry can prove the harness still builds
+// and runs; `--policy` runs only Part 2 at full size.
 #include <cstring>
 
 #include "bench/bench_util.hpp"

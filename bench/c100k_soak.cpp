@@ -19,7 +19,7 @@
 // stuck clients — across shard boundaries (a client on shard 0 may be
 // served by shard 3; the reply must come back over the same connection),
 // and every connection is held at once. Exit status is non-zero on any
-// violation, so bench_smoke and the sanitizer/TSan lanes gate on it.
+// violation, so the soak smoke ctest entries gate on it in every tree.
 // Cross-shard metrics correctness rides along: every transport updates the
 // shared net.* gauges by atomic delta from its own thread, with per-shard
 // {shard=K} twins for attribution.

@@ -11,8 +11,8 @@
 //    "ns_per_batch_observe":...,"per_method":{"last":...,...},
 //    "checksum":...}
 //
-// `--quick` shrinks the iteration counts so the bench_smoke CTest target can
-// prove the harness still builds and runs without burning CI time.
+// `--quick` shrinks the iteration counts so the micro_forecast_smoke ctest
+// entry can prove the harness still builds and runs without burning CI time.
 #include <cstdio>
 #include <cstring>
 #include <string>

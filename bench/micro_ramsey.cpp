@@ -15,7 +15,8 @@
 // and is constant for a given iteration count, so a changed checksum means
 // the kernels changed, not just their speed. Exit status is non-zero if the
 // Paley graph of order 17 fails to verify as an R(4,4) counter-example.
-// `--quick` shrinks the iteration counts for the bench_smoke CTest target.
+// `--quick` shrinks the iteration counts for the micro_ramsey_smoke ctest
+// entry.
 #include <cstdio>
 #include <cstring>
 #include <string>

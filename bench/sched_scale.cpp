@@ -218,8 +218,8 @@ int main(int argc, char** argv) {
   // Ramp: register the fleet staggered across a few seconds; every client
   // leaves with a full lease of freshly minted units.
   for (std::size_t i = 0; i < kClients; ++i) {
-    driver.clients.push_back(
-        DriverClient{Endpoint{"c" + std::to_string(i), 2000}});
+    driver.clients.push_back(DriverClient{
+        .ep = Endpoint{"c" + std::to_string(i), 2000}, .held = {}});
   }
   for (std::size_t i = 0; i < kClients; ++i) {
     events.schedule(static_cast<Duration>(i) * 50 * kMillisecond,
@@ -262,8 +262,8 @@ int main(int argc, char** argv) {
   const std::uint64_t issued_before_refill = sched.pool().units_issued();
   const std::size_t first_replacement = driver.clients.size();
   for (std::size_t i = 0; i < kKills; ++i) {
-    driver.clients.push_back(
-        DriverClient{Endpoint{"r" + std::to_string(i), 2000}});
+    driver.clients.push_back(DriverClient{
+        .ep = Endpoint{"r" + std::to_string(i), 2000}, .held = {}});
   }
   for (std::size_t i = 0; i < kKills; ++i) {
     events.schedule(static_cast<Duration>(i) * 100 * kMillisecond,

@@ -75,4 +75,15 @@ Result<Bytes> Reader::raw(std::size_t n) {
   return b;
 }
 
+Error Reader::count_error(std::uint32_t n, std::uint32_t cap,
+                         const char* what) const {
+  if (n > cap) {
+    return Error{Err::kProtocol, std::string(what) + " count " +
+                                     std::to_string(n) + " exceeds cap " +
+                                     std::to_string(cap)};
+  }
+  return Error{Err::kProtocol, std::string(what) + " count " +
+                                   std::to_string(n) + " exceeds payload"};
+}
+
 }  // namespace ew

@@ -6,14 +6,22 @@
 // little-endian byte-by-byte, floats travel as IEEE-754 bit patterns, and
 // strings/blobs are length-prefixed. Reader performs strict bounds checking
 // so malformed packets from the wire can never read out of range.
+//
+// Every protocol family shares two more pieces of the format, defined once
+// here: a list is a u32 count followed by its elements (write_list /
+// read_list, with Reader::count guarding the count against hostile input),
+// and a versioned message opens with a u8 wire version and a u16 message
+// kind (write_envelope / read_envelope).
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.hpp"
@@ -99,6 +107,18 @@ class Reader {
   /// Exactly n raw bytes.
   Result<Bytes> raw(std::size_t n);
 
+  /// List count guarded against hostile input: rejected with kProtocol when
+  /// above `cap` or above what the remaining bytes can hold at `min_elem`
+  /// (>= 1) wire bytes per element, before the caller sizes anything.
+  Result<std::uint32_t> count(std::uint32_t cap, std::size_t min_elem,
+                              const char* what) {
+    auto n = u32();
+    if (n && (*n > cap || *n > remaining() / min_elem)) {
+      return count_error(*n, cap, what);
+    }
+    return n;
+  }
+
   /// Zero-copy view of the unread tail (does not consume). Valid as long as
   /// the bytes the Reader was constructed over.
   [[nodiscard]] std::span<const std::uint8_t> rest() const {
@@ -111,8 +131,70 @@ class Reader {
  private:
   template <typename T>
   Result<T> read_le();
+  Error count_error(std::uint32_t n, std::uint32_t cap, const char* what) const;
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+/// Writes `items` as a u32 count followed by each element. `write_elem` is
+/// either a writer taking (Writer&, elem) or a member taking (Writer&).
+template <typename List, typename WriteElem>
+void write_list(Writer& w, const List& items, WriteElem write_elem) {
+  w.u32(static_cast<std::uint32_t>(items.size()));
+  for (const auto& x : items) {
+    if constexpr (std::is_invocable_v<WriteElem&, Writer&, decltype(x)>) {
+      std::invoke(write_elem, w, x);
+    } else {
+      std::invoke(write_elem, x, w);
+    }
+  }
+}
+
+/// Reads a list written by write_list: the count passes Reader::count, then
+/// `read_elem(r)` decodes each element; the first element error is returned.
+template <typename T, typename ReadElem>
+Result<std::vector<T>> read_list(Reader& r, std::uint32_t cap,
+                                 std::size_t min_elem, const char* what,
+                                 ReadElem read_elem) {
+  auto n = r.count(cap, min_elem, what);
+  if (!n) return n.error();
+  std::vector<T> out;
+  out.reserve(*n);
+  for (std::uint32_t i = 0; i < *n; ++i) {
+    auto e = std::invoke(read_elem, r);
+    if (!e) return e.error();
+    out.push_back(std::move(*e));
+  }
+  return out;
+}
+
+/// Versioned envelope: u8 wire version, then the u16 message kind.
+inline void write_envelope(Writer& w, std::uint8_t version,
+                           std::uint16_t kind) {
+  w.u8(version);
+  w.u16(kind);
+}
+
+/// Accepts versions 1..max_version and exactly `kind` (so a payload replayed
+/// under the wrong message type fails decode instead of being
+/// misinterpreted); returns the sender's version. `family` names the
+/// protocol in error messages.
+inline Result<std::uint8_t> read_envelope(Reader& r, std::uint8_t max_version,
+                                          std::uint16_t kind,
+                                          const char* family) {
+  auto ver = r.u8();
+  if (!ver) return ver.error();
+  if (*ver == 0 || *ver > max_version) {
+    return Error{Err::kProtocol,
+                 std::string("unsupported ") + family + " wire version"};
+  }
+  auto k = r.u16();
+  if (!k) return k.error();
+  if (*k != kind) {
+    return Error{Err::kProtocol,
+                 std::string(family) + " message kind mismatch"};
+  }
+  return *ver;
+}
 
 }  // namespace ew

@@ -15,45 +15,9 @@ const char* infra_name(Infra i) {
   return "Unknown";
 }
 
-namespace {
-
-// Bounded list-count read shared by the batch codecs (same shape as the
-// gossip read_count guard): the count is checked against the batch ceiling
-// AND against the bytes actually remaining (each element needs at least
-// `min_elem` bytes) before any vector is sized.
-Result<std::uint32_t> read_count(Reader& r, std::size_t min_elem,
-                                 const char* what) {
-  auto n = r.u32();
-  if (!n) return n.error();
-  if (*n > kMaxSchedBatch) return Error{Err::kProtocol, what};
-  if (min_elem > 0 && *n > r.remaining() / min_elem) {
-    return Error{Err::kProtocol, what};
-  }
-  return *n;
-}
-
-}  // namespace
-
-void write_sched_header(Writer& w, MsgType kind) {
-  w.u8(kSchedWireVersion);
-  w.u16(kind);
-}
-
-Result<std::uint8_t> read_sched_header(Reader& r, MsgType kind) {
-  auto ver = r.u8();
-  if (!ver) return ver.error();
-  if (*ver == 0 || *ver > kSchedWireVersion) {
-    return Error{Err::kProtocol, "unsupported sched wire version"};
-  }
-  auto k = r.u16();
-  if (!k) return k.error();
-  if (*k != kind) return Error{Err::kProtocol, "sched message kind mismatch"};
-  return *ver;
-}
-
 Bytes ClientHello::serialize() const {
   Writer w;
-  write_sched_header(w, msgtype::kSchedRegister);
+  write_envelope(w, kSchedWireVersion, msgtype::kSchedRegister);
   gossip::write_endpoint(w, client);
   w.u8(static_cast<std::uint8_t>(infra));
   w.str(host);
@@ -63,7 +27,8 @@ Bytes ClientHello::serialize() const {
 
 Result<ClientHello> ClientHello::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_sched_header(r, msgtype::kSchedRegister);
+  auto hdr =
+      read_envelope(r, kSchedWireVersion, msgtype::kSchedRegister, "sched");
   if (!hdr) return hdr.error();
   ClientHello h;
   auto ep = gossip::read_endpoint(r);
@@ -87,18 +52,18 @@ Result<ClientHello> ClientHello::deserialize(const Bytes& data) {
 
 Bytes ReportBatch::serialize() const {
   Writer w;
-  write_sched_header(w, msgtype::kSchedReportBatch);
+  write_envelope(w, kSchedWireVersion, msgtype::kSchedReportBatch);
   gossip::write_endpoint(w, client);
   w.u64(seq);
   w.u32(want_units);
-  w.u32(static_cast<std::uint32_t>(reports.size()));
-  for (const auto& rep : reports) rep.write(w);
+  write_list(w, reports, &ramsey::WorkReport::write);
   return w.take();
 }
 
 Result<ReportBatch> ReportBatch::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_sched_header(r, msgtype::kSchedReportBatch);
+  auto hdr =
+      read_envelope(r, kSchedWireVersion, msgtype::kSchedReportBatch, "sched");
   if (!hdr) return hdr.error();
   ReportBatch b;
   auto ep = gossip::read_endpoint(r);
@@ -113,50 +78,37 @@ Result<ReportBatch> ReportBatch::deserialize(const Bytes& data) {
     return Error{Err::kProtocol, "bad lease size"};
   }
   b.want_units = *want;
-  auto count =
-      read_count(r, ramsey::WorkReport::kMinWire, "oversized report batch");
-  if (!count) return count.error();
-  b.reports.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto rep = ramsey::WorkReport::read(r);
-    if (!rep) return rep.error();
-    b.reports.push_back(std::move(*rep));
-  }
+  auto reports = read_list<ramsey::WorkReport>(
+      r, kMaxSchedBatch, ramsey::WorkReport::kMinWire, "report batch",
+      &ramsey::WorkReport::read);
+  if (!reports) return reports.error();
+  b.reports = std::move(*reports);
   return b;
 }
 
 Bytes DirectiveBatch::serialize() const {
   Writer w;
-  write_sched_header(w, msgtype::kSchedDirectiveBatch);
-  w.u32(static_cast<std::uint32_t>(revoke.size()));
-  for (auto id : revoke) w.u64(id);
-  w.u32(static_cast<std::uint32_t>(assign.size()));
-  for (const auto& spec : assign) spec.write(w);
+  write_envelope(w, kSchedWireVersion, msgtype::kSchedDirectiveBatch);
+  write_list(w, revoke, &Writer::u64);
+  write_list(w, assign, &ramsey::WorkSpec::write);
   return w.take();
 }
 
 Result<DirectiveBatch> DirectiveBatch::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_sched_header(r, msgtype::kSchedDirectiveBatch);
+  auto hdr = read_envelope(r, kSchedWireVersion,
+                           msgtype::kSchedDirectiveBatch, "sched");
   if (!hdr) return hdr.error();
   DirectiveBatch d;
-  auto nrevoke = read_count(r, sizeof(std::uint64_t), "oversized revoke list");
-  if (!nrevoke) return nrevoke.error();
-  d.revoke.reserve(*nrevoke);
-  for (std::uint32_t i = 0; i < *nrevoke; ++i) {
-    auto id = r.u64();
-    if (!id) return id.error();
-    d.revoke.push_back(*id);
-  }
-  auto nassign =
-      read_count(r, ramsey::WorkSpec::kMinWire, "oversized assign list");
-  if (!nassign) return nassign.error();
-  d.assign.reserve(*nassign);
-  for (std::uint32_t i = 0; i < *nassign; ++i) {
-    auto spec = ramsey::WorkSpec::read(r);
-    if (!spec) return spec.error();
-    d.assign.push_back(std::move(*spec));
-  }
+  auto revoke = read_list<std::uint64_t>(
+      r, kMaxSchedBatch, sizeof(std::uint64_t), "revoke list", &Reader::u64);
+  if (!revoke) return revoke.error();
+  d.revoke = std::move(*revoke);
+  auto assign = read_list<ramsey::WorkSpec>(
+      r, kMaxSchedBatch, ramsey::WorkSpec::kMinWire, "assign list",
+      &ramsey::WorkSpec::read);
+  if (!assign) return assign.error();
+  d.assign = std::move(*assign);
   return d;
 }
 

@@ -69,22 +69,17 @@ enum class Infra : std::uint8_t {
 constexpr int kInfraCount = 7;
 const char* infra_name(Infra i);
 
-/// Wire version of the scheduler message family. v2 added the versioned
-/// envelope itself, batched reports/directives, and multi-unit leases; v1
-/// (headerless per-unit encoding) is no longer decoded.
+/// Wire version of the scheduler message family; every scheduler payload
+/// opens with the shared envelope (common/serialize.hpp) and readers accept
+/// 1..kSchedWireVersion. v2 added the versioned envelope itself, batched
+/// reports/directives, and multi-unit leases; v1 (headerless per-unit
+/// encoding) is no longer decoded.
 constexpr std::uint8_t kSchedWireVersion = 2;
 
 /// Ceiling on any list carried by a scheduler batch message. Combined with
 /// the per-element minimum-size check this bounds decoder allocation long
 /// before the 16 MiB frame cap would.
 constexpr std::uint32_t kMaxSchedBatch = 65'536;
-
-/// Envelope helpers shared by every scheduler payload: u8 version (1 ..
-/// kSchedWireVersion accepted) + u16 message kind (must match the MsgType
-/// the payload travels under, so a frame replayed at the wrong type fails
-/// decode instead of being misinterpreted).
-void write_sched_header(Writer& w, MsgType kind);
-Result<std::uint8_t> read_sched_header(Reader& r, MsgType kind);
 
 /// Client identification sent with kSchedRegister.
 struct ClientHello {

@@ -53,19 +53,17 @@ std::vector<Endpoint> ServerList::servers() const {
 
 Bytes ServerList::serialize() const {
   Writer w;
-  w.u32(static_cast<std::uint32_t>(map_.size()));
-  for (const auto& [server, beat] : map_) {
-    gossip::write_endpoint(w, server);
-    w.u64(beat);
-  }
+  write_list(w, map_, [](Writer& out, const auto& entry) {
+    gossip::write_endpoint(out, entry.first);
+    out.u64(entry.second);
+  });
   return w.take();
 }
 
 Result<ServerList> ServerList::deserialize(const Bytes& data) {
   Reader r(data);
-  auto n = r.u32();
+  auto n = r.count(100'000, gossip::kEndpointMinWire + 8, "server list");
   if (!n) return n.error();
-  if (*n > 100'000) return Error{Err::kProtocol, "server list too large"};
   ServerList out;
   for (std::uint32_t i = 0; i < *n; ++i) {
     auto ep = gossip::read_endpoint(r);

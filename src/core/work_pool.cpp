@@ -167,10 +167,9 @@ Bytes WorkPool::export_frontier() const {
 
 std::size_t WorkPool::import_frontier(const Bytes& blob) {
   Reader r(blob);
-  auto count = r.u32();
-  // Count guard: bound by the absolute ceiling AND the bytes present (each
-  // entry is at least 8+8+1+8+4 = 29 bytes).
-  if (!count || *count > 2'000'000 || *count > r.remaining() / 29) return 0;
+  // Each entry is at least 8+8+1+8+4 = 29 bytes.
+  auto count = r.count(2'000'000, 29, "frontier");
+  if (!count) return 0;
   std::size_t imported = 0;
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto id = r.u64();

@@ -5,23 +5,10 @@
 namespace ew::gossip {
 
 namespace {
-// Count guards: a hostile or truncated encoding must be rejected before any
-// allocation it names. Every variable-length vector is checked against both
-// a hard cap and the bytes actually remaining in the buffer (each element
-// costs at least `min_elem` wire bytes, so a count beyond remaining/min_elem
-// cannot be honest).
+// Ceilings on decoded list counts; Reader::count also bounds each count by
+// the bytes remaining, so a hostile count never drives an allocation.
 constexpr std::uint32_t kMaxListLen = 100'000;
-
-Result<std::uint32_t> read_count(Reader& r, std::size_t min_elem,
-                                 const char* what) {
-  auto n = r.u32();
-  if (!n) return n.error();
-  if (*n > kMaxListLen) return Error{Err::kProtocol, std::string(what) + " too large"};
-  if (min_elem > 0 && *n > r.remaining() / min_elem) {
-    return Error{Err::kProtocol, std::string(what) + " count exceeds payload"};
-  }
-  return *n;
-}
+constexpr std::uint32_t kMaxRegTypes = 4096;  // types per registration
 }  // namespace
 
 void write_endpoint(Writer& w, const Endpoint& e) {
@@ -39,8 +26,7 @@ Result<Endpoint> read_endpoint(Reader& r) {
 
 void Registration::write(Writer& w) const {
   write_endpoint(w, component);
-  w.u32(static_cast<std::uint32_t>(types.size()));
-  for (MsgType t : types) w.u16(t);
+  write_list(w, types, &Writer::u16);
 }
 
 Result<Registration> Registration::read(Reader& r) {
@@ -48,15 +34,10 @@ Result<Registration> Registration::read(Reader& r) {
   auto ep = read_endpoint(r);
   if (!ep) return ep.error();
   reg.component = std::move(*ep);
-  auto n = read_count(r, sizeof(MsgType), "registration type list");
-  if (!n) return n.error();
-  if (*n > 4096) return Error{Err::kProtocol, "registration type list too long"};
-  reg.types.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto t = r.u16();
-    if (!t) return t.error();
-    reg.types.push_back(*t);
-  }
+  auto types = read_list<MsgType>(r, kMaxRegTypes, sizeof(MsgType),
+                                  "registration type list", &Reader::u16);
+  if (!types) return types.error();
+  reg.types = std::move(*types);
   return reg;
 }
 
@@ -108,10 +89,9 @@ Result<TypeSummary> read_type_summary(Reader& r) {
 }
 
 Bytes Digest::serialize() const {
-  Writer w(4 + 4 + summaries.size() * 18 + 16);
+  Writer w(4 + 4 + summaries.size() * TypeSummary::kMinWire + 16);
   w.u32(clique);
-  w.u32(static_cast<std::uint32_t>(summaries.size()));
-  for (const auto& s : summaries) write_type_summary(w, s);
+  write_list(w, summaries, write_type_summary);
   w.u64(reg_count);
   w.u64(reg_checksum);
   return w.take();
@@ -123,14 +103,11 @@ Result<Digest> Digest::deserialize(const Bytes& data) {
   auto clique = r.u32();
   if (!clique) return clique.error();
   d.clique = *clique;
-  auto n = read_count(r, 18, "digest summary list");  // u16 + 2 * u64
-  if (!n) return n.error();
-  d.summaries.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto s = read_type_summary(r);
-    if (!s) return s.error();
-    d.summaries.push_back(*s);
-  }
+  auto summaries =
+      read_list<TypeSummary>(r, kMaxListLen, TypeSummary::kMinWire,
+                             "digest summary list", read_type_summary);
+  if (!summaries) return summaries.error();
+  d.summaries = std::move(*summaries);
   auto rc = r.u64();
   if (!rc) return rc.error();
   d.reg_count = *rc;
@@ -143,12 +120,9 @@ Result<Digest> Digest::deserialize(const Bytes& data) {
 Bytes Delta::serialize() const {
   Writer w;
   w.u32(clique);
-  w.u32(static_cast<std::uint32_t>(blobs.size()));
-  for (const auto& b : blobs) write_state_blob(w, b);
-  w.u32(static_cast<std::uint32_t>(want.size()));
-  for (MsgType t : want) w.u16(t);
-  w.u32(static_cast<std::uint32_t>(registrations.size()));
-  for (const auto& reg : registrations) reg.write(w);
+  write_list(w, blobs, write_state_blob);
+  write_list(w, want, &Writer::u16);
+  write_list(w, registrations, &Registration::write);
   return w.take();
 }
 
@@ -158,30 +132,19 @@ Result<Delta> Delta::deserialize(const Bytes& data) {
   auto clique = r.u32();
   if (!clique) return clique.error();
   d.clique = *clique;
-  auto nb = read_count(r, 6, "delta blob list");  // u16 + empty u32 blob
-  if (!nb) return nb.error();
-  d.blobs.reserve(*nb);
-  for (std::uint32_t i = 0; i < *nb; ++i) {
-    auto b = read_state_blob(r);
-    if (!b) return b.error();
-    d.blobs.push_back(std::move(*b));
-  }
-  auto nw = read_count(r, sizeof(MsgType), "delta want list");
-  if (!nw) return nw.error();
-  d.want.reserve(*nw);
-  for (std::uint32_t i = 0; i < *nw; ++i) {
-    auto t = r.u16();
-    if (!t) return t.error();
-    d.want.push_back(*t);
-  }
-  auto nr = read_count(r, 10, "delta registration list");  // min endpoint+count
-  if (!nr) return nr.error();
-  d.registrations.reserve(*nr);
-  for (std::uint32_t i = 0; i < *nr; ++i) {
-    auto reg = Registration::read(r);
-    if (!reg) return reg.error();
-    d.registrations.push_back(std::move(*reg));
-  }
+  auto blobs = read_list<StateBlob>(r, kMaxListLen, StateBlob::kMinWire,
+                                    "delta blob list", read_state_blob);
+  if (!blobs) return blobs.error();
+  d.blobs = std::move(*blobs);
+  auto want = read_list<MsgType>(r, kMaxListLen, sizeof(MsgType),
+                                 "delta want list", &Reader::u16);
+  if (!want) return want.error();
+  d.want = std::move(*want);
+  auto regs =
+      read_list<Registration>(r, kMaxListLen, Registration::kMinWire,
+                              "delta registration list", &Registration::read);
+  if (!regs) return regs.error();
+  d.registrations = std::move(*regs);
   return d;
 }
 
@@ -214,52 +177,42 @@ Result<CliqueSummary> CliqueSummary::read(Reader& r) {
 }
 
 Bytes ParentDigest::serialize() const {
-  Writer w(4 + cliques.size() * 36);
-  w.u32(static_cast<std::uint32_t>(cliques.size()));
-  for (const auto& c : cliques) c.write(w);
+  Writer w(4 + cliques.size() * CliqueSummary::kMinWire);
+  write_list(w, cliques, &CliqueSummary::write);
   return w.take();
 }
 
 Result<ParentDigest> ParentDigest::deserialize(const Bytes& data) {
   Reader r(data);
+  auto cliques =
+      read_list<CliqueSummary>(r, kMaxListLen, CliqueSummary::kMinWire,
+                               "parent digest", &CliqueSummary::read);
+  if (!cliques) return cliques.error();
   ParentDigest d;
-  auto n = read_count(r, 36, "parent digest");  // u32 + 4 * u64
-  if (!n) return n.error();
-  d.cliques.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto c = CliqueSummary::read(r);
-    if (!c) return c.error();
-    d.cliques.push_back(*c);
-  }
+  d.cliques = std::move(*cliques);
   return d;
 }
 
 Bytes PollRequest::serialize() const {
-  Writer w(4 + held.size() * 18);
-  w.u32(static_cast<std::uint32_t>(held.size()));
-  for (const auto& s : held) write_type_summary(w, s);
+  Writer w(4 + held.size() * TypeSummary::kMinWire);
+  write_list(w, held, write_type_summary);
   return w.take();
 }
 
 Result<PollRequest> PollRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto n = read_count(r, 18, "poll request");
-  if (!n) return n.error();
+  auto held = read_list<TypeSummary>(r, kMaxListLen, TypeSummary::kMinWire,
+                                     "poll request", read_type_summary);
+  if (!held) return held.error();
   PollRequest req;
-  req.held.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto s = read_type_summary(r);
-    if (!s) return s.error();
-    req.held.push_back(*s);
-  }
+  req.held = std::move(*held);
   return req;
 }
 
 Bytes PollReply::serialize() const {
   Writer w;
   w.u8(fresh ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(blobs.size()));
-  for (const auto& b : blobs) write_state_blob(w, b);
+  write_list(w, blobs, write_state_blob);
   return w.take();
 }
 
@@ -267,16 +220,12 @@ Result<PollReply> PollReply::deserialize(const Bytes& data) {
   Reader r(data);
   auto flag = r.u8();
   if (!flag) return flag.error();
-  auto n = read_count(r, 6, "poll reply");
-  if (!n) return n.error();
+  auto blobs = read_list<StateBlob>(r, kMaxListLen, StateBlob::kMinWire,
+                                    "poll reply", read_state_blob);
+  if (!blobs) return blobs.error();
   PollReply rep;
   rep.fresh = *flag != 0;
-  rep.blobs.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto b = read_state_blob(r);
-    if (!b) return b.error();
-    rep.blobs.push_back(std::move(*b));
-  }
+  rep.blobs = std::move(*blobs);
   return rep;
 }
 
@@ -292,8 +241,7 @@ bool View::newer_than(const View& other) const {
 void View::write(Writer& w) const {
   w.u64(generation);
   write_endpoint(w, leader);
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  for (const auto& m : members) write_endpoint(w, m);
+  write_list(w, members, write_endpoint);
 }
 
 Result<View> View::read(Reader& r) {
@@ -304,14 +252,10 @@ Result<View> View::read(Reader& r) {
   auto leader = read_endpoint(r);
   if (!leader) return leader.error();
   v.leader = std::move(*leader);
-  auto n = read_count(r, 6, "view member list");
-  if (!n) return n.error();
-  v.members.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto m = read_endpoint(r);
-    if (!m) return m.error();
-    v.members.push_back(std::move(*m));
-  }
+  auto members = read_list<Endpoint>(r, kMaxListLen, kEndpointMinWire,
+                                     "view member list", read_endpoint);
+  if (!members) return members.error();
+  v.members = std::move(*members);
   std::sort(v.members.begin(), v.members.end());
   return v;
 }
@@ -327,32 +271,12 @@ Result<View> View::deserialize(const Bytes& data) {
   return read(r);
 }
 
-namespace {
-void write_endpoint_list(Writer& w, const std::vector<Endpoint>& list) {
-  w.u32(static_cast<std::uint32_t>(list.size()));
-  for (const auto& e : list) write_endpoint(w, e);
-}
-
-Result<std::vector<Endpoint>> read_endpoint_list(Reader& r) {
-  auto n = read_count(r, 6, "endpoint list");
-  if (!n) return n.error();
-  std::vector<Endpoint> out;
-  out.reserve(*n);
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto e = read_endpoint(r);
-    if (!e) return e.error();
-    out.push_back(std::move(*e));
-  }
-  return out;
-}
-}  // namespace
-
 Bytes Token::serialize() const {
   Writer w;
   w.u64(round);
   view.write(w);
-  write_endpoint_list(w, visited);
-  write_endpoint_list(w, suspects);
+  write_list(w, visited, write_endpoint);
+  write_list(w, suspects, write_endpoint);
   return w.take();
 }
 
@@ -365,10 +289,12 @@ Result<Token> Token::deserialize(const Bytes& data) {
   auto v = View::read(r);
   if (!v) return v.error();
   t.view = std::move(*v);
-  auto visited = read_endpoint_list(r);
+  auto visited = read_list<Endpoint>(r, kMaxListLen, kEndpointMinWire,
+                                     "endpoint list", read_endpoint);
   if (!visited) return visited.error();
   t.visited = std::move(*visited);
-  auto suspects = read_endpoint_list(r);
+  auto suspects = read_list<Endpoint>(r, kMaxListLen, kEndpointMinWire,
+                                      "endpoint list", read_endpoint);
   if (!suspects) return suspects.error();
   t.suspects = std::move(*suspects);
   return t;

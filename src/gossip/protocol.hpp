@@ -48,6 +48,8 @@ constexpr MsgType kParentDigest = 0x0120;
 /// Endpoint codec helpers used across all protocols.
 void write_endpoint(Writer& w, const Endpoint& e);
 Result<Endpoint> read_endpoint(Reader& r);
+/// Minimum wire footprint of an endpoint: empty host string + u16 port.
+constexpr std::size_t kEndpointMinWire = 4 + 2;
 
 /// A component's registration: its contact address and the state message
 /// types it wants synchronized (paper: "register a contact address, a unique
@@ -55,6 +57,9 @@ Result<Endpoint> read_endpoint(Reader& r);
 struct Registration {
   Endpoint component;
   std::vector<MsgType> types;
+
+  /// Endpoint + an empty type list's count.
+  static constexpr std::size_t kMinWire = kEndpointMinWire + 4;
 
   [[nodiscard]] Bytes serialize() const;
   static Result<Registration> deserialize(const Bytes& data);
@@ -66,6 +71,8 @@ struct Registration {
 struct StateBlob {
   MsgType type = 0;
   Bytes content;
+
+  static constexpr std::size_t kMinWire = 2 + 4;  // type + empty blob
 };
 
 void write_state_blob(Writer& w, const StateBlob& s);
@@ -80,6 +87,8 @@ struct TypeSummary {
   MsgType type = 0;
   std::uint64_t version = 0;
   std::uint64_t checksum = 0;
+
+  static constexpr std::size_t kMinWire = 2 + 8 + 8;
 };
 
 void write_type_summary(Writer& w, const TypeSummary& s);
@@ -121,6 +130,8 @@ struct CliqueSummary {
   std::uint64_t checksum = 0;
   std::uint64_t states = 0;
   std::uint64_t components = 0;
+
+  static constexpr std::size_t kMinWire = 4 + 4 * 8;
 
   void write(Writer& w) const;
   static Result<CliqueSummary> read(Reader& r);

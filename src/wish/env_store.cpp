@@ -36,13 +36,12 @@ std::optional<EnvStore::Entry> EnvStore::entry(const std::string& key) const {
 
 Bytes EnvStore::body() const {
   Writer w;
-  w.u32(static_cast<std::uint32_t>(map_.size()));
-  for (const auto& [key, e] : map_) {
-    w.str(key);
-    w.str(e.value);
-    w.u64(e.version);
-    w.u64(e.writer);
-  }
+  write_list(w, map_, [](Writer& out, const auto& kv) {
+    out.str(kv.first);
+    out.str(kv.second.value);
+    out.u64(kv.second.version);
+    out.u64(kv.second.writer);
+  });
   return w.take();
 }
 
@@ -58,34 +57,29 @@ Status EnvStore::apply(const Bytes& blob) {
 
   // Parse the whole incoming entry list before touching the map: a
   // malformed blob must not leave a half-merged replica.
-  Reader r(*body_bytes);
-  auto count = r.u32();
-  if (!count) return count.error();
-  // Same guard shape as the wire codecs: ceiling AND remaining-bytes bound
-  // (each entry needs at least two empty strings + two u64 stamps).
-  constexpr std::size_t kMinEntry = 4 + 4 + 8 + 8;
-  if (*count > kMaxWishBatch || *count > r.remaining() / kMinEntry) {
-    return Status(Err::kProtocol, "oversized env blob");
-  }
   struct Incoming {
     std::string key, value;
     std::uint64_t version, writer;
   };
-  std::vector<Incoming> in;
-  in.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto key = r.str();
-    if (!key) return key.error();
-    auto value = r.str();
-    if (!value) return value.error();
-    auto ver = r.u64();
-    if (!ver) return ver.error();
-    auto writer = r.u64();
-    if (!writer) return writer.error();
-    in.push_back(Incoming{std::move(*key), std::move(*value), *ver, *writer});
-  }
+  // Each entry needs at least two empty strings + two u64 stamps.
+  constexpr std::size_t kMinEntry = 4 + 4 + 8 + 8;
+  Reader r(*body_bytes);
+  auto in = read_list<Incoming>(
+      r, kMaxWishBatch, kMinEntry, "env blob",
+      [](Reader& src) -> Result<Incoming> {
+        auto key = src.str();
+        if (!key) return key.error();
+        auto value = src.str();
+        if (!value) return value.error();
+        auto ver = src.u64();
+        if (!ver) return ver.error();
+        auto writer = src.u64();
+        if (!writer) return writer.error();
+        return Incoming{std::move(*key), std::move(*value), *ver, *writer};
+      });
+  if (!in) return in.error();
 
-  for (auto& inc : in) {
+  for (auto& inc : *in) {
     Entry& e = map_[inc.key];  // default-constructs version 0 when absent
     if (inc.writer == writer_ && !e.own && e.version == 0) {
       // Our own entry echoed back for a key this incarnation never wrote

@@ -4,42 +4,6 @@
 
 namespace ew::wish {
 
-namespace {
-
-// Bounded list-count read shared by every WISH codec (same shape as the
-// sched/gossip guards): the count is checked against the batch ceiling AND
-// against the bytes actually remaining (each element needs at least
-// `min_elem` bytes) before any vector is sized.
-Result<std::uint32_t> read_count(Reader& r, std::size_t min_elem,
-                                 const char* what) {
-  auto n = r.u32();
-  if (!n) return n.error();
-  if (*n > kMaxWishBatch) return Error{Err::kProtocol, what};
-  if (min_elem > 0 && *n > r.remaining() / min_elem) {
-    return Error{Err::kProtocol, what};
-  }
-  return *n;
-}
-
-}  // namespace
-
-void write_wish_header(Writer& w, MsgType kind) {
-  w.u8(kWishWireVersion);
-  w.u16(kind);
-}
-
-Result<std::uint8_t> read_wish_header(Reader& r, MsgType kind) {
-  auto ver = r.u8();
-  if (!ver) return ver.error();
-  if (*ver == 0 || *ver > kWishWireVersion) {
-    return Error{Err::kProtocol, "unsupported wish wire version"};
-  }
-  auto k = r.u16();
-  if (!k) return k.error();
-  if (*k != kind) return Error{Err::kProtocol, "wish message kind mismatch"};
-  return *ver;
-}
-
 const char* job_state_name(JobState s) {
   switch (s) {
     case JobState::kQueued: return "queued";
@@ -70,82 +34,67 @@ Result<JobSpec> JobSpec::read(Reader& r) {
 
 Bytes SpawnRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobSpawn);
+  write_envelope(w, kWishWireVersion, msgtype::kJobSpawn);
   gossip::write_endpoint(w, owner);
-  w.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const auto& j : jobs) j.write(w);
+  write_list(w, jobs, &JobSpec::write);
   return w.take();
 }
 
 Result<SpawnRequest> SpawnRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobSpawn);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobSpawn, "wish");
   if (!hdr) return hdr.error();
   SpawnRequest req;
   auto ep = gossip::read_endpoint(r);
   if (!ep) return ep.error();
   req.owner = std::move(*ep);
-  auto count = read_count(r, JobSpec::kMinWire, "oversized spawn batch");
-  if (!count) return count.error();
-  if (*count == 0) return Error{Err::kProtocol, "empty spawn batch"};
-  req.jobs.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto spec = JobSpec::read(r);
-    if (!spec) return spec.error();
-    req.jobs.push_back(std::move(*spec));
-  }
+  auto jobs = read_list<JobSpec>(r, kMaxWishBatch, JobSpec::kMinWire,
+                                 "spawn batch", &JobSpec::read);
+  if (!jobs) return jobs.error();
+  if (jobs->empty()) return Error{Err::kProtocol, "empty spawn batch"};
+  req.jobs = std::move(*jobs);
   return req;
 }
 
 Bytes SpawnReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobSpawn);
+  write_envelope(w, kWishWireVersion, msgtype::kJobSpawn);
   w.u64(incarnation);
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (auto id : ids) w.u64(id);
+  write_list(w, ids, &Writer::u64);
   return w.take();
 }
 
 Result<SpawnReply> SpawnReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobSpawn);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobSpawn, "wish");
   if (!hdr) return hdr.error();
   SpawnReply rep;
   auto inc = r.u64();
   if (!inc) return inc.error();
   rep.incarnation = *inc;
-  auto count = read_count(r, sizeof(std::uint64_t), "oversized id list");
-  if (!count) return count.error();
-  rep.ids.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto id = r.u64();
-    if (!id) return id.error();
-    rep.ids.push_back(*id);
-  }
+  auto ids = read_list<std::uint64_t>(r, kMaxWishBatch, sizeof(std::uint64_t),
+                                      "id list", &Reader::u64);
+  if (!ids) return ids.error();
+  rep.ids = std::move(*ids);
   return rep;
 }
 
 Bytes PollRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobPoll);
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (auto id : ids) w.u64(id);
+  write_envelope(w, kWishWireVersion, msgtype::kJobPoll);
+  write_list(w, ids, &Writer::u64);
   return w.take();
 }
 
 Result<PollRequest> PollRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobPoll);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobPoll, "wish");
   if (!hdr) return hdr.error();
   PollRequest req;
-  auto count = read_count(r, sizeof(std::uint64_t), "oversized poll id list");
-  if (!count) return count.error();
-  req.ids.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto id = r.u64();
-    if (!id) return id.error();
-    req.ids.push_back(*id);
-  }
+  auto ids = read_list<std::uint64_t>(r, kMaxWishBatch, sizeof(std::uint64_t),
+                                      "poll id list", &Reader::u64);
+  if (!ids) return ids.error();
+  req.ids = std::move(*ids);
   return req;
 }
 
@@ -172,35 +121,30 @@ Result<JobStatus> JobStatus::read(Reader& r) {
 
 Bytes PollReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobPoll);
+  write_envelope(w, kWishWireVersion, msgtype::kJobPoll);
   w.u64(incarnation);
-  w.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const auto& j : jobs) j.write(w);
+  write_list(w, jobs, &JobStatus::write);
   return w.take();
 }
 
 Result<PollReply> PollReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobPoll);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobPoll, "wish");
   if (!hdr) return hdr.error();
   PollReply rep;
   auto inc = r.u64();
   if (!inc) return inc.error();
   rep.incarnation = *inc;
-  auto count = read_count(r, JobStatus::kMinWire, "oversized status list");
-  if (!count) return count.error();
-  rep.jobs.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto st = JobStatus::read(r);
-    if (!st) return st.error();
-    rep.jobs.push_back(std::move(*st));
-  }
+  auto jobs = read_list<JobStatus>(r, kMaxWishBatch, JobStatus::kMinWire,
+                                   "status list", &JobStatus::read);
+  if (!jobs) return jobs.error();
+  rep.jobs = std::move(*jobs);
   return rep;
 }
 
 Bytes SignalRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobSignal);
+  write_envelope(w, kWishWireVersion, msgtype::kJobSignal);
   w.u64(id);
   w.u8(signum);
   return w.take();
@@ -208,7 +152,7 @@ Bytes SignalRequest::serialize() const {
 
 Result<SignalRequest> SignalRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobSignal);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobSignal, "wish");
   if (!hdr) return hdr.error();
   SignalRequest req;
   auto id = r.u64();
@@ -222,14 +166,14 @@ Result<SignalRequest> SignalRequest::deserialize(const Bytes& data) {
 
 Bytes SignalReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobSignal);
+  write_envelope(w, kWishWireVersion, msgtype::kJobSignal);
   w.u8(static_cast<std::uint8_t>(state));
   return w.take();
 }
 
 Result<SignalReply> SignalReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobSignal);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobSignal, "wish");
   if (!hdr) return hdr.error();
   SignalReply rep;
   auto st = r.u8();
@@ -241,38 +185,33 @@ Result<SignalReply> SignalReply::deserialize(const Bytes& data) {
 
 Bytes ReapRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobReap);
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (auto id : ids) w.u64(id);
+  write_envelope(w, kWishWireVersion, msgtype::kJobReap);
+  write_list(w, ids, &Writer::u64);
   return w.take();
 }
 
 Result<ReapRequest> ReapRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobReap);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobReap, "wish");
   if (!hdr) return hdr.error();
   ReapRequest req;
-  auto count = read_count(r, sizeof(std::uint64_t), "oversized reap id list");
-  if (!count) return count.error();
-  req.ids.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto id = r.u64();
-    if (!id) return id.error();
-    req.ids.push_back(*id);
-  }
+  auto ids = read_list<std::uint64_t>(r, kMaxWishBatch, sizeof(std::uint64_t),
+                                      "reap id list", &Reader::u64);
+  if (!ids) return ids.error();
+  req.ids = std::move(*ids);
   return req;
 }
 
 Bytes ReapReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kJobReap);
+  write_envelope(w, kWishWireVersion, msgtype::kJobReap);
   w.u32(reaped);
   return w.take();
 }
 
 Result<ReapReply> ReapReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kJobReap);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kJobReap, "wish");
   if (!hdr) return hdr.error();
   ReapReply rep;
   auto n = r.u32();
@@ -283,7 +222,7 @@ Result<ReapReply> ReapReply::deserialize(const Bytes& data) {
 
 Bytes EnvSetRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kEnvSet);
+  write_envelope(w, kWishWireVersion, msgtype::kEnvSet);
   w.str(key);
   w.str(value);
   return w.take();
@@ -291,7 +230,7 @@ Bytes EnvSetRequest::serialize() const {
 
 Result<EnvSetRequest> EnvSetRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kEnvSet);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kEnvSet, "wish");
   if (!hdr) return hdr.error();
   EnvSetRequest req;
   auto key = r.str();
@@ -306,14 +245,14 @@ Result<EnvSetRequest> EnvSetRequest::deserialize(const Bytes& data) {
 
 Bytes EnvSetReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kEnvSet);
+  write_envelope(w, kWishWireVersion, msgtype::kEnvSet);
   w.u64(version);
   return w.take();
 }
 
 Result<EnvSetReply> EnvSetReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kEnvSet);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kEnvSet, "wish");
   if (!hdr) return hdr.error();
   EnvSetReply rep;
   auto v = r.u64();
@@ -324,14 +263,14 @@ Result<EnvSetReply> EnvSetReply::deserialize(const Bytes& data) {
 
 Bytes EnvGetRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kEnvGet);
+  write_envelope(w, kWishWireVersion, msgtype::kEnvGet);
   w.str(key);
   return w.take();
 }
 
 Result<EnvGetRequest> EnvGetRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kEnvGet);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kEnvGet, "wish");
   if (!hdr) return hdr.error();
   EnvGetRequest req;
   auto key = r.str();
@@ -342,7 +281,7 @@ Result<EnvGetRequest> EnvGetRequest::deserialize(const Bytes& data) {
 
 Bytes EnvGetReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kEnvGet);
+  write_envelope(w, kWishWireVersion, msgtype::kEnvGet);
   w.boolean(found);
   w.str(value);
   w.u64(version);
@@ -351,7 +290,7 @@ Bytes EnvGetReply::serialize() const {
 
 Result<EnvGetReply> EnvGetReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kEnvGet);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kEnvGet, "wish");
   if (!hdr) return hdr.error();
   EnvGetReply rep;
   auto found = r.boolean();
@@ -368,7 +307,7 @@ Result<EnvGetReply> EnvGetReply::deserialize(const Bytes& data) {
 
 Bytes BarrierEnter::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kBarrierEnter);
+  write_envelope(w, kWishWireVersion, msgtype::kBarrierEnter);
   w.str(name);
   w.u64(epoch);
   w.u32(expected);
@@ -379,7 +318,7 @@ Bytes BarrierEnter::serialize() const {
 
 Result<BarrierEnter> BarrierEnter::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kBarrierEnter);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kBarrierEnter, "wish");
   if (!hdr) return hdr.error();
   BarrierEnter e;
   auto name = r.str();
@@ -406,7 +345,7 @@ Result<BarrierEnter> BarrierEnter::deserialize(const Bytes& data) {
 
 Bytes BarrierEnterReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kBarrierEnter);
+  write_envelope(w, kWishWireVersion, msgtype::kBarrierEnter);
   w.boolean(released);
   w.u64(coordinator_incarnation);
   return w.take();
@@ -414,7 +353,7 @@ Bytes BarrierEnterReply::serialize() const {
 
 Result<BarrierEnterReply> BarrierEnterReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kBarrierEnter);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kBarrierEnter, "wish");
   if (!hdr) return hdr.error();
   BarrierEnterReply rep;
   auto rel = r.boolean();
@@ -428,7 +367,7 @@ Result<BarrierEnterReply> BarrierEnterReply::deserialize(const Bytes& data) {
 
 Bytes BarrierRelease::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kBarrierRelease);
+  write_envelope(w, kWishWireVersion, msgtype::kBarrierRelease);
   w.str(name);
   w.u64(epoch);
   return w.take();
@@ -436,7 +375,8 @@ Bytes BarrierRelease::serialize() const {
 
 Result<BarrierRelease> BarrierRelease::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kBarrierRelease);
+  auto hdr =
+      read_envelope(r, kWishWireVersion, msgtype::kBarrierRelease, "wish");
   if (!hdr) return hdr.error();
   BarrierRelease rel;
   auto name = r.str();
@@ -450,7 +390,7 @@ Result<BarrierRelease> BarrierRelease::deserialize(const Bytes& data) {
 
 Bytes LeaderClaim::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kLeaderClaim);
+  write_envelope(w, kWishWireVersion, msgtype::kLeaderClaim);
   w.str(name);
   w.u64(epoch);
   w.str(claimant);
@@ -459,7 +399,7 @@ Bytes LeaderClaim::serialize() const {
 
 Result<LeaderClaim> LeaderClaim::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kLeaderClaim);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kLeaderClaim, "wish");
   if (!hdr) return hdr.error();
   LeaderClaim c;
   auto name = r.str();
@@ -478,7 +418,7 @@ Result<LeaderClaim> LeaderClaim::deserialize(const Bytes& data) {
 
 Bytes LeaderReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kLeaderClaim);
+  write_envelope(w, kWishWireVersion, msgtype::kLeaderClaim);
   w.str(winner);
   w.u64(coordinator_incarnation);
   return w.take();
@@ -486,7 +426,7 @@ Bytes LeaderReply::serialize() const {
 
 Result<LeaderReply> LeaderReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kLeaderClaim);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kLeaderClaim, "wish");
   if (!hdr) return hdr.error();
   LeaderReply rep;
   auto winner = r.str();
@@ -500,18 +440,17 @@ Result<LeaderReply> LeaderReply::deserialize(const Bytes& data) {
 
 Bytes ScatterRequest::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kScatter);
+  write_envelope(w, kWishWireVersion, msgtype::kScatter);
   w.str(name);
   w.u64(epoch);
   w.blob(payload);
-  w.u32(static_cast<std::uint32_t>(subtree.size()));
-  for (const auto& ep : subtree) gossip::write_endpoint(w, ep);
+  write_list(w, subtree, gossip::write_endpoint);
   return w.take();
 }
 
 Result<ScatterRequest> ScatterRequest::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kScatter);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kScatter, "wish");
   if (!hdr) return hdr.error();
   ScatterRequest req;
   auto name = r.str();
@@ -523,21 +462,17 @@ Result<ScatterRequest> ScatterRequest::deserialize(const Bytes& data) {
   auto payload = r.blob();
   if (!payload) return payload.error();
   req.payload = std::move(*payload);
-  // Endpoint min wire: empty host string (4) + port (2).
-  auto count = read_count(r, 4 + 2, "oversized scatter subtree");
-  if (!count) return count.error();
-  req.subtree.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto ep = gossip::read_endpoint(r);
-    if (!ep) return ep.error();
-    req.subtree.push_back(std::move(*ep));
-  }
+  auto subtree =
+      read_list<Endpoint>(r, kMaxWishBatch, gossip::kEndpointMinWire,
+                          "scatter subtree", gossip::read_endpoint);
+  if (!subtree) return subtree.error();
+  req.subtree = std::move(*subtree);
   return req;
 }
 
 Bytes ScatterReply::serialize() const {
   Writer w;
-  write_wish_header(w, msgtype::kScatter);
+  write_envelope(w, kWishWireVersion, msgtype::kScatter);
   w.u32(delivered);
   w.u64(checksum);
   return w.take();
@@ -545,7 +480,7 @@ Bytes ScatterReply::serialize() const {
 
 Result<ScatterReply> ScatterReply::deserialize(const Bytes& data) {
   Reader r(data);
-  auto hdr = read_wish_header(r, msgtype::kScatter);
+  auto hdr = read_envelope(r, kWishWireVersion, msgtype::kScatter, "wish");
   if (!hdr) return hdr.error();
   ScatterReply rep;
   auto n = r.u32();

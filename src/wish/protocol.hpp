@@ -7,10 +7,10 @@
 // barrier / leader-once / scatter-gather synchronization fan-outs — the
 // opposite traffic shape from the long-running Ramsey clients.
 //
-// Every message carries the same versioned envelope the scheduler protocol
-// uses (u8 wire version + u16 kind), and every list decode is guarded by a
-// count-vs-remaining-bytes check before any vector is sized, so a truncated
-// or hostile frame can never drive an allocation.
+// Every message carries the shared versioned envelope (u8 wire version + u16
+// kind), and every list decodes through read_list, whose count guard checks
+// the remaining bytes before any vector is sized, so a truncated or hostile
+// frame can never drive an allocation.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,8 @@
 
 namespace ew::wish {
 
-/// Bump on incompatible changes; readers accept [1, kWishWireVersion].
+/// Version in every WISH message's envelope (common/serialize.hpp). Bump on
+/// incompatible changes; readers accept [1, kWishWireVersion].
 constexpr std::uint8_t kWishWireVersion = 1;
 
 /// Ceiling on every list count in the WISH protocol (jobs per spawn batch,
@@ -52,9 +53,6 @@ namespace statetype {
 /// core::statetype owns 0x0301/0x0302).
 constexpr MsgType kWishEnv = 0x0303;
 }  // namespace statetype
-
-void write_wish_header(Writer& w, MsgType kind);
-Result<std::uint8_t> read_wish_header(Reader& r, MsgType kind);
 
 // --- Job table ---------------------------------------------------------------
 

@@ -227,6 +227,62 @@ TEST(Serialize, F64SpecialValues) {
   EXPECT_TRUE(std::isinf(*r.f64()));
 }
 
+TEST(Serialize, ListCountGuardBoundaries) {
+  constexpr std::uint32_t kNoCap = 0xffff'ffffu;
+  struct Case {
+    const char* name;
+    std::uint32_t count;     // the count on the wire
+    std::size_t elems;       // u32 elements actually present
+    std::size_t tail_bytes;  // stray bytes after them
+    std::uint32_t cap;
+    std::size_t min_elem;
+    bool ok;
+    std::size_t reads;       // read_elem calls made
+  };
+  const Case cases[] = {
+      {"count == cap", 3, 3, 0, 3, 4, true, 3},
+      {"count == cap + 1", 4, 4, 0, 3, 4, false, 0},
+      {"count above remaining / min_elem", 5, 4, 0, kNoCap, 4, false, 0},
+      {"huge count, no bytes", kNoCap, 0, 0, kNoCap, 4, false, 0},
+      {"zero elements", 0, 0, 0, 3, 4, true, 0},
+      {"truncated mid-element", 2, 1, 2, kNoCap, 2, false, 2},
+  };
+  for (const auto& c : cases) {
+    Writer w;
+    w.u32(c.count);
+    for (std::uint32_t i = 0; i < c.elems; ++i) w.u32(i);
+    for (std::size_t i = 0; i < c.tail_bytes; ++i) w.u8(0);
+    Reader r(w.bytes());
+    std::size_t reads = 0;
+    auto list = read_list<std::uint32_t>(r, c.cap, c.min_elem, "test list",
+                                         [&](Reader& in) {
+                                           ++reads;
+                                           return in.u32();
+                                         });
+    EXPECT_EQ(list.ok(), c.ok) << c.name;
+    EXPECT_EQ(reads, c.reads) << c.name;
+    if (list.ok()) {
+      EXPECT_EQ(list->size(), c.count) << c.name;
+      for (std::size_t i = 0; i < list->size(); ++i) EXPECT_EQ((*list)[i], i);
+    } else {
+      EXPECT_EQ(list.code(), Err::kProtocol) << c.name;
+    }
+    if (c.reads == 0 && !c.ok) {
+      // Rejected on the count alone: only its four bytes were consumed.
+      EXPECT_EQ(r.remaining(), w.size() - 4) << c.name;
+    }
+    if (c.tail_bytes > 0) {
+      // The element's own error comes back, not a count error.
+      EXPECT_NE(list.error().message.find("truncated"), std::string::npos)
+          << list.error().message;
+    }
+    Reader again(w.bytes());
+    EXPECT_EQ(again.count(c.cap, c.min_elem, "test list").ok(),
+              c.ok || c.tail_bytes > 0)
+        << c.name;
+  }
+}
+
 // --- Result / Status ------------------------------------------------------------
 
 TEST(Result, ValueAccess) {

@@ -138,20 +138,23 @@ TEST(Fuzz, SchedBatchDecodersRejectHugeCounts) {
   // for elements the stream cannot possibly contain.
   {
     Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedDirectiveBatch);
+    write_envelope(w, core::kSchedWireVersion,
+                   core::msgtype::kSchedDirectiveBatch);
     w.u32(0xFFFF'FFFFu);  // revoke count far beyond the remaining bytes
     EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());
   }
   {
     Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedDirectiveBatch);
+    write_envelope(w, core::kSchedWireVersion,
+                   core::msgtype::kSchedDirectiveBatch);
     w.u32(0);                               // no revokes
     w.u32(core::kMaxSchedBatch + 1);        // assign count above the hard cap
     EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());
   }
   {
     Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedReportBatch);
+    write_envelope(w, core::kSchedWireVersion,
+                   core::msgtype::kSchedReportBatch);
     gossip::write_endpoint(w, Endpoint{"c", 1});
     w.u64(1);            // seq
     w.u32(1);            // want_units
@@ -173,7 +176,8 @@ TEST(Fuzz, SchedEnvelopeRejectsBadVersionAndKind) {
   // ...and a message of one kind must not decode as another.
   {
     Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedReportBatch);
+    write_envelope(w, core::kSchedWireVersion,
+                   core::msgtype::kSchedReportBatch);
     w.u32(0);
     w.u32(0);
     EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());

@@ -193,9 +193,15 @@ TEST(ServerList, MergeBlobsUnionsNewestBeatPerServer) {
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->size(), 3u);
   for (const auto& e : merged->entries()) {
-    if (e.server.host == "x") EXPECT_EQ(e.heartbeat, 10u);
-    if (e.server.host == "y") EXPECT_EQ(e.heartbeat, 8u);
-    if (e.server.host == "z") EXPECT_EQ(e.heartbeat, 1u);
+    if (e.server.host == "x") {
+      EXPECT_EQ(e.heartbeat, 10u);
+    }
+    if (e.server.host == "y") {
+      EXPECT_EQ(e.heartbeat, 8u);
+    }
+    if (e.server.host == "z") {
+      EXPECT_EQ(e.heartbeat, 1u);
+    }
   }
   // A malformed side contributes nothing; the other survives whole.
   auto survived =

@@ -309,20 +309,20 @@ TEST(WishCodecNegative, HostileCountsCannotDriveAllocation) {
   for (std::uint32_t count : {kMaxWishBatch + 1, 0xffffffffu, 1000u}) {
     {
       Writer w;
-      write_wish_header(w, msgtype::kJobPoll);
+      write_envelope(w, kWishWireVersion, msgtype::kJobPoll);
       w.u32(count);  // ids follow on the real wire; none here
       EXPECT_FALSE(PollRequest::deserialize(w.take()).ok()) << count;
     }
     {
       Writer w;
-      write_wish_header(w, msgtype::kJobSpawn);
+      write_envelope(w, kWishWireVersion, msgtype::kJobSpawn);
       gossip::write_endpoint(w, Endpoint{"c", 9000});
       w.u32(count);
       EXPECT_FALSE(SpawnRequest::deserialize(w.take()).ok()) << count;
     }
     {
       Writer w;
-      write_wish_header(w, msgtype::kScatter);
+      write_envelope(w, kWishWireVersion, msgtype::kScatter);
       w.str("s");
       w.u64(1);
       w.blob(Bytes{});
@@ -334,7 +334,7 @@ TEST(WishCodecNegative, HostileCountsCannotDriveAllocation) {
 
 TEST(WishCodecNegative, NegativeJobRuntimeIsRejected) {
   Writer w;
-  write_wish_header(w, msgtype::kJobSpawn);
+  write_envelope(w, kWishWireVersion, msgtype::kJobSpawn);
   gossip::write_endpoint(w, Endpoint{"c", 9000});
   w.u32(1);
   w.str("cmd");
