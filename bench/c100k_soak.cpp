@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -142,6 +143,27 @@ Totals sample(Harness& h) {
   return t;
 }
 
+// Starts a node on `port` through `start(port)`. When `may_redraw` and the
+// bind fails with EADDRINUSE (a reserved port taken by another process after
+// its release), draws a fresh OS-assigned port into `port` and tries again,
+// a bounded number of times.
+template <typename StartFn>
+Status start_node(std::uint16_t& port, bool may_redraw, StartFn start) {
+  constexpr int kAttempts = 8;
+  const std::string in_use = std::strerror(EADDRINUSE);
+  for (int attempt = 1;; ++attempt) {
+    Status st = start(port);
+    if (st.ok() || !may_redraw || attempt == kAttempts ||
+        st.error().code != Err::kRefused ||
+        st.error().message.find(in_use) == std::string::npos) {
+      return st;
+    }
+    auto l = tcp_listen(0);
+    if (!l) return l.error();
+    port = *local_port(*l);
+  }
+}
+
 std::uint64_t max_rss_kb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
@@ -214,7 +236,8 @@ int run(int argc, char** argv) {
 
   // Reserve one distinct loopback port per client endpoint (plus one for
   // the shared server port) by holding OS-assigned listeners open, then
-  // releasing them just before the real binds.
+  // releasing them just before the real binds. Another process can take a
+  // released port in between, so start_node() below re-draws on EADDRINUSE.
   std::vector<std::uint16_t> ports(conns + 1);
   {
     std::vector<Fd> held;
@@ -230,27 +253,32 @@ int run(int argc, char** argv) {
       held.push_back(std::move(*l));
     }
   }
-  const Endpoint server_ep{"127.0.0.1", ports[conns]};
 
   ReactorShardPool pool(nshards, backend);
 
   Harness h;
   h.pool = &pool;
-  h.server_ep = server_ep;
   h.payload.assign(64, 0xAB);
   h.shards.resize(nshards);
   h.clients.resize(conns);
 
   // Per-shard server: same endpoint, SO_REUSEPORT — the kernel distributes
-  // inbound connections across the shards' listeners.
+  // inbound connections across the shards' listeners. Only shard 0 can meet
+  // a stolen port: the later shards join its bound SO_REUSEPORT group.
   for (std::size_t s = 0; s < nshards; ++s) {
     Shard& sh = h.shards[s];
-    sh.server_transport = std::make_unique<TcpTransport>(
-        pool.reactor(s), "shard=" + std::to_string(s));
-    sh.server_transport->set_reuse_port(true);
-    sh.server =
-        std::make_unique<Node>(pool.reactor(s), *sh.server_transport, server_ep);
-    if (Status st = sh.server->start(); !st.ok()) {
+    const Status st = start_node(
+        ports[conns], s == 0, [&](std::uint16_t port) {
+          sh.server.reset();
+          sh.server_transport = std::make_unique<TcpTransport>(
+              pool.reactor(s), "shard=" + std::to_string(s));
+          sh.server_transport->set_reuse_port(true);
+          sh.server = std::make_unique<Node>(
+              pool.reactor(s), *sh.server_transport,
+              Endpoint{"127.0.0.1", port});
+          return sh.server->start();
+        });
+    if (!st.ok()) {
       std::fprintf(stderr, "c100k_soak: server shard %zu start: %s\n", s,
                    st.to_string().c_str());
       return 2;
@@ -259,16 +287,22 @@ int run(int argc, char** argv) {
       r.ok(m.packet.payload);
     });
   }
+  h.server_ep = Endpoint{"127.0.0.1", ports[conns]};
 
   // Clients round-robin over the shards.
   for (std::size_t i = 0; i < conns; ++i) {
     const std::size_t s = i % nshards;
     Client& c = h.clients[i];
     c.shard = s;
-    c.transport = std::make_unique<TcpTransport>(pool.reactor(s));
-    c.node = std::make_unique<Node>(pool.reactor(s), *c.transport,
-                                    Endpoint{"127.0.0.1", ports[i]});
-    if (Status st = c.node->start(); !st.ok()) {
+    const Status st =
+        start_node(ports[i], true, [&](std::uint16_t port) {
+          c.node.reset();
+          c.transport = std::make_unique<TcpTransport>(pool.reactor(s));
+          c.node = std::make_unique<Node>(pool.reactor(s), *c.transport,
+                                          Endpoint{"127.0.0.1", port});
+          return c.node->start();
+        });
+    if (!st.ok()) {
       std::fprintf(stderr, "c100k_soak: client %zu start: %s\n", i,
                    st.to_string().c_str());
       return 2;

@@ -46,10 +46,9 @@ class Writer {
   void f64(double v) { append_le(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
-  /// Length-prefixed (u32) UTF-8/opaque string.
+  /// Length-prefixed (u32) UTF-8/opaque string: the same bytes as blob().
   void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    blob({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
   /// Length-prefixed (u32) opaque byte blob.

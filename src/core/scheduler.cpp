@@ -22,8 +22,7 @@ void erase_unit(std::vector<std::uint64_t>& units, std::uint64_t id) {
 SchedulerServer::SchedulerServer(Node& node, Options opts)
     : node_(node),
       opts_(opts),
-      pool_(ShardedWorkPool::Options{opts.pool,
-                                     std::max<std::uint32_t>(1, opts.pool_shards)}) {}
+      pool_(opts.pool, opts.pool_shards) {}
 
 void SchedulerServer::start() {
   if (running_) return;
@@ -116,8 +115,8 @@ void SchedulerServer::checkpoint_tick() {
 
 void SchedulerServer::restore_frontier() {
   // One fetch per shard: a restarted scheduler re-imports each shard's
-  // checkpoint into exactly that shard, whose pool refuses ids outside its
-  // range — recovery replays only the slice that belongs there.
+  // checkpoint into exactly that shard, which refuses ids outside its range
+  // — recovery replays only the slice that belongs there.
   for (std::uint32_t k = 0; k < pool_.shard_count(); ++k) {
     Writer w;
     w.str(checkpoint_name(k));
@@ -222,23 +221,25 @@ void SchedulerServer::on_report_batch(const IncomingMessage& msg,
     total_ops += rep.ops_done;
     batch_best = std::min(batch_best, rep.best_energy);
     any_found = any_found || rep.found;
-    // Progress accounting per heuristic kind, before the pool absorbs the
-    // report: the directive policy steers fresh units toward whichever
-    // algorithm has been buying the most energy reduction per op.
-    if (const auto kind = pool_.unit_kind(rep.unit_id)) {
-      const auto prev = pool_.best_energy(rep.unit_id);
-      KindStats& ks = kind_stats_[static_cast<std::size_t>(*kind)];
-      if (prev && rep.best_energy < *prev) {
-        ks.improvement += static_cast<double>(*prev - rep.best_energy);
-      }
-      ks.gops += static_cast<double>(rep.ops_done) / 1e9;
-    }
   }
   if (gap > 0) {
     info.interval.observe(static_cast<double>(gap));
     info.rate.observe(static_cast<double>(total_ops) / to_seconds(gap));
   }
-  pool_.report_many(batch.reports);
+  // Progress accounting per heuristic kind, against the unit's energy just
+  // before the pool absorbs each report: the directive policy steers fresh
+  // units toward whichever algorithm has been buying the most energy
+  // reduction per op.
+  pool_.report_many(
+      batch.reports,
+      [this](const ramsey::WorkReport& rep, ramsey::HeuristicKind kind,
+             std::optional<std::uint64_t> prev) {
+        KindStats& ks = kind_stats_[static_cast<std::size_t>(kind)];
+        if (prev && rep.best_energy < *prev) {
+          ks.improvement += static_cast<double>(*prev - rep.best_energy);
+        }
+        ks.gops += static_cast<double>(rep.ops_done) / 1e9;
+      });
   for (const auto& rep : batch.reports) {
     note_best(rep.best_energy, rep.best_graph, rep.found);
     if (rep.found) store_counterexample(rep);

@@ -21,7 +21,7 @@
 // sequence number; the scheduler caches the last reply and replays it on a
 // duplicate, so the client may retry and hedge the call without any pool
 // mutation running twice. The work pool behind the scheduler is range-
-// sharded (ShardedWorkPool) and checkpointed per shard, so restart recovery
+// sharded (WorkPool) and checkpointed per shard, so restart recovery
 // re-imports only the shards that changed — each into exactly its own id
 // range. The old per-unit kSchedReport message is retired: no handler is
 // registered for it, so stale clients get an unhandled-type rejection and
@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "core/sharded_work_pool.hpp"
+#include "core/work_pool.hpp"
 #include "forecast/selector.hpp"
 #include "net/node.hpp"
 
@@ -84,7 +84,7 @@ class SchedulerServer {
   [[nodiscard]] std::uint64_t clients_presumed_dead() const { return presumed_dead_; }
   [[nodiscard]] std::uint64_t counterexamples_stored() const { return found_stored_; }
   [[nodiscard]] std::uint64_t frontier_units_restored() const { return restored_; }
-  [[nodiscard]] const ShardedWorkPool& pool() const { return pool_; }
+  [[nodiscard]] const WorkPool& pool() const { return pool_; }
 
   /// Per-heuristic progress accounting behind the directive policy: energy
   /// improvement delivered per billion ops, by heuristic kind.
@@ -133,7 +133,7 @@ class SchedulerServer {
 
   Node& node_;
   Options opts_;
-  ShardedWorkPool pool_;
+  WorkPool pool_;
   std::unordered_map<Endpoint, ClientInfo, EndpointHash> clients_;
   bool running_ = false;
   std::uint64_t reports_ = 0;   // unit-reports absorbed (batch items)

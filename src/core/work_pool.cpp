@@ -4,10 +4,9 @@
 
 namespace ew::core {
 
-WorkPool::WorkPool(Options opts) : opts_(opts) {
-  if (opts_.id_stride == 0) opts_.id_stride = 1;
-  if (opts_.first_id == 0) opts_.first_id = 1;
-  next_id_ = opts_.first_id;
+WorkPool::WorkPool(Options opts, std::uint32_t shards)
+    : opts_(opts), shards_(std::max<std::uint32_t>(1, shards)) {
+  for (std::uint32_t k = 0; k < shards_.size(); ++k) shards_[k].next_id = k + 1;
 }
 
 ramsey::WorkSpec WorkPool::spec_for(std::uint64_t id, const Unit& u) const {
@@ -25,136 +24,157 @@ ramsey::WorkSpec WorkPool::spec_for(std::uint64_t id, const Unit& u) const {
   return s;
 }
 
-bool WorkPool::owns(std::uint64_t unit_id) const {
-  return unit_id >= opts_.first_id &&
-         (unit_id - opts_.first_id) % opts_.id_stride == 0;
+ramsey::WorkSpec WorkPool::take_idle_best(Shard& s) {
+  const auto id = s.idle.begin()->second;
+  s.idle.erase(s.idle.begin());
+  Unit& u = s.units[id];
+  u.assigned = true;
+  ++s.assigned;
+  return spec_for(id, u);
 }
 
-ramsey::WorkSpec WorkPool::acquire() {
-  // Most promising idle frontier unit first: lowest (energy, id).
-  if (!idle_.empty()) {
-    const auto [energy, id] = *idle_.begin();
-    idle_.erase(idle_.begin());
-    auto& u = units_[id];
-    u.assigned = true;
-    ++assigned_count_;
-    return spec_for(id, u);
-  }
-  const std::uint64_t id = next_id_;
-  next_id_ += opts_.id_stride;
+ramsey::WorkSpec WorkPool::mint(Shard& s) {
+  const std::uint64_t id = s.next_id;
+  s.next_id += shards_.size();
   Unit u;
   u.seed = opts_.seed_base + id;
   u.assigned = true;
   // Default: rotate heuristics so all three stay in play.
   u.kind = chooser_ ? chooser_(id) : static_cast<ramsey::HeuristicKind>(id % 3);
-  auto [it, _] = units_.emplace(id, std::move(u));
-  ++assigned_count_;
+  auto [it, _] = s.units.emplace(id, std::move(u));
+  ++s.assigned;
   return spec_for(id, it->second);
 }
 
-std::optional<ramsey::WorkSpec> WorkPool::acquire_unit(std::uint64_t unit_id) {
-  auto it = units_.find(unit_id);
-  if (it == units_.end() || it->second.assigned) return std::nullopt;
-  idle_.erase({it->second.best_energy, unit_id});
+std::vector<ramsey::WorkSpec> WorkPool::issue_many(std::size_t n) {
+  std::vector<ramsey::WorkSpec> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Globally best idle frontier unit across all shards, if any.
+    std::optional<std::uint32_t> best;
+    for (std::uint32_t k = 0; k < shards_.size(); ++k) {
+      const auto& idle = shards_[k].idle;
+      if (!idle.empty() &&
+          (!best || *idle.begin() < *shards_[*best].idle.begin())) {
+        best = k;
+      }
+    }
+    if (best) {
+      if (*best != mint_cursor_) ++steals_;
+      out.push_back(take_idle_best(shards_[*best]));
+      continue;
+    }
+    out.push_back(mint(shards_[mint_cursor_]));
+    mint_cursor_ = (mint_cursor_ + 1) % shards_.size();
+  }
+  return out;
+}
+
+std::optional<ramsey::WorkSpec> WorkPool::issue_unit(std::uint64_t unit_id) {
+  Shard& s = owner(unit_id);
+  auto it = s.units.find(unit_id);
+  if (it == s.units.end() || it->second.assigned) return std::nullopt;
+  s.idle.erase({it->second.best_energy, unit_id});
   it->second.assigned = true;
-  ++assigned_count_;
+  ++s.assigned;
   return spec_for(unit_id, it->second);
 }
 
-void WorkPool::report_one(const ramsey::WorkReport& rep) {
-  auto it = units_.find(rep.unit_id);
-  if (it == units_.end()) return;
+std::optional<WorkPool::Absorbed> WorkPool::absorb(const ramsey::WorkReport& rep) {
+  Shard& s = owner(rep.unit_id);
+  auto it = s.units.find(rep.unit_id);
+  if (it == s.units.end()) return std::nullopt;
   Unit& u = it->second;
+  Absorbed seen{u.kind, std::nullopt};
+  if (u.best_energy != ~0ULL) seen.prev_energy = u.best_energy;
   const bool was_idle = !u.assigned && !u.resume.empty();
-  if (was_idle) idle_.erase({u.best_energy, rep.unit_id});
+  if (was_idle) s.idle.erase({u.best_energy, rep.unit_id});
   if (rep.best_energy < u.best_energy) {
     u.best_energy = rep.best_energy;
-    dirty_ = true;
+    s.dirty = true;
   }
   if (!rep.best_graph.empty()) {
     u.resume = rep.best_graph;
-    dirty_ = true;
+    s.dirty = true;
   }
   if (!u.assigned && !u.resume.empty()) {
-    idle_.insert({u.best_energy, rep.unit_id});
+    s.idle.insert({u.best_energy, rep.unit_id});
   }
+  return seen;
 }
 
-void WorkPool::report(const ramsey::WorkReport& rep) { report_one(rep); }
-
-void WorkPool::report_many(std::span<const ramsey::WorkReport> reps) {
-  for (const auto& rep : reps) report_one(rep);
-}
-
-void WorkPool::release_one(std::uint64_t unit_id) {
-  auto it = units_.find(unit_id);
-  if (it == units_.end()) return;
+void WorkPool::release_one(Shard& s, std::uint64_t unit_id) {
+  auto it = s.units.find(unit_id);
+  if (it == s.units.end()) return;
   Unit& u = it->second;
   if (u.assigned) {
     u.assigned = false;
-    --assigned_count_;
+    --s.assigned;
   } else if (!u.resume.empty()) {
     return;  // already idle and indexed; nothing to do
   }
   if (u.resume.empty()) {
     // Never reported: nothing worth resuming; forget it entirely.
-    units_.erase(it);
+    s.units.erase(it);
   } else {
-    idle_.insert({u.best_energy, unit_id});
-    dirty_ = true;
+    s.idle.insert({u.best_energy, unit_id});
+    s.dirty = true;
   }
 }
 
-void WorkPool::release(std::uint64_t unit_id) {
-  release_one(unit_id);
-  trim_idle();
-}
-
-void WorkPool::release_many(std::span<const std::uint64_t> ids) {
-  for (auto id : ids) release_one(id);
-  trim_idle();
-}
-
-bool WorkPool::assigned(std::uint64_t unit_id) const {
-  auto it = units_.find(unit_id);
-  return it != units_.end() && it->second.assigned;
-}
-
-std::optional<ramsey::HeuristicKind> WorkPool::unit_kind(std::uint64_t unit_id) const {
-  auto it = units_.find(unit_id);
-  if (it == units_.end()) return std::nullopt;
-  return it->second.kind;
+void WorkPool::reclaim_many(std::span<const std::uint64_t> ids) {
+  for (auto id : ids) release_one(owner(id), id);
+  for (auto& s : shards_) trim_idle(s);
 }
 
 std::optional<std::uint64_t> WorkPool::best_energy(std::uint64_t unit_id) const {
-  auto it = units_.find(unit_id);
-  if (it == units_.end() || it->second.best_energy == ~0ULL) return std::nullopt;
+  const Shard& s = owner(unit_id);
+  auto it = s.units.find(unit_id);
+  if (it == s.units.end() || it->second.best_energy == ~0ULL) return std::nullopt;
   return it->second.best_energy;
 }
 
-std::optional<std::pair<std::uint64_t, std::uint64_t>>
-WorkPool::peek_idle_best() const {
-  if (idle_.empty()) return std::nullopt;
-  return *idle_.begin();
+std::size_t WorkPool::idle_frontier_size() const {
+  std::size_t n = 0;
+  for (const auto& s : shards_) n += s.idle.size();
+  return n;
 }
 
 std::vector<std::uint64_t> WorkPool::assigned_units() const {
   std::vector<std::uint64_t> out;
-  out.reserve(assigned_count_);
-  for (const auto& [id, u] : units_) {
-    if (u.assigned) out.push_back(id);
+  out.reserve(assigned_count());
+  for (const auto& s : shards_) {
+    for (const auto& [id, u] : s.units) {
+      if (u.assigned) out.push_back(id);
+    }
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-Bytes WorkPool::export_frontier() const {
+std::size_t WorkPool::assigned_count() const {
+  std::size_t n = 0;
+  for (const auto& s : shards_) n += s.assigned;
+  return n;
+}
+
+std::size_t WorkPool::units_issued() const {
+  std::size_t n = 0;
+  for (std::uint32_t k = 0; k < shards_.size(); ++k) {
+    n += static_cast<std::size_t>((shards_[k].next_id - (k + 1)) / shards_.size());
+  }
+  return n;
+}
+
+Bytes WorkPool::export_shard(std::uint32_t k) {
+  Shard& s = shards_[k];
   Writer w;
   std::uint32_t count = 0;
-  for (const auto& [id, u] : units_) {
+  for (const auto& [id, u] : s.units) {
     if (!u.resume.empty()) ++count;
   }
   w.u32(count);
-  for (const auto& [id, u] : units_) {
+  for (const auto& [id, u] : s.units) {
     if (u.resume.empty()) continue;
     w.u64(id);
     w.u64(u.seed);
@@ -162,10 +182,12 @@ Bytes WorkPool::export_frontier() const {
     w.u64(u.best_energy);
     w.blob(u.resume);
   }
+  s.dirty = false;
   return w.take();
 }
 
-std::size_t WorkPool::import_frontier(const Bytes& blob) {
+std::size_t WorkPool::import_shard(std::uint32_t k, const Bytes& blob) {
+  Shard& s = shards_[k];
   Reader r(blob);
   // Each entry is at least 8+8+1+8+4 = 29 bytes.
   auto count = r.count(2'000'000, 29, "frontier");
@@ -179,37 +201,38 @@ std::size_t WorkPool::import_frontier(const Bytes& blob) {
     auto resume = r.blob();
     if (!id || !seed || !kind || !energy || !resume) break;
     if (*kind > static_cast<std::uint8_t>(ramsey::HeuristicKind::kAnneal)) continue;
-    // Only units in our id range: a restarted shard replays its own slice.
-    if (!owns(*id)) continue;
+    // Only units in shard k's id range: a restarted shard replays its own
+    // slice.
+    if (*id == 0 || owner_index(*id) != k) continue;
     // Resume blobs must still decode as valid graphs of our order.
     if (resume->size() > ramsey::kMaxGraphBlob) continue;
     auto g = ramsey::ColoredGraph::deserialize(*resume);
     if (!g || g->order() != opts_.n) continue;
-    if (units_.contains(*id)) continue;  // live unit wins over checkpoint
+    if (s.units.contains(*id)) continue;  // live unit wins over checkpoint
     Unit u;
     u.seed = *seed;
     u.kind = static_cast<ramsey::HeuristicKind>(*kind);
     u.best_energy = *energy;
     u.resume = std::move(*resume);
     u.assigned = false;
-    idle_.insert({u.best_energy, *id});
-    units_.emplace(*id, std::move(u));
-    next_id_ = std::max(next_id_, *id + opts_.id_stride);
+    s.idle.insert({u.best_energy, *id});
+    s.units.emplace(*id, std::move(u));
+    s.next_id = std::max<std::uint64_t>(s.next_id, *id + shards_.size());
     ++imported;
   }
-  if (imported > 0) dirty_ = true;
-  trim_idle();
+  if (imported > 0) s.dirty = true;
+  trim_idle(s);
   return imported;
 }
 
-void WorkPool::trim_idle() {
+void WorkPool::trim_idle(Shard& s) {
   // Keep the bounded "file system footprint" discipline of Section 3.1.2:
   // drop the *worst* idle units beyond the cap.
-  while (idle_.size() > opts_.max_idle_frontier) {
-    auto worst = std::prev(idle_.end());
-    units_.erase(worst->second);
-    idle_.erase(worst);
-    dirty_ = true;
+  while (s.idle.size() > opts_.max_idle_frontier) {
+    auto worst = std::prev(s.idle.end());
+    s.units.erase(worst->second);
+    s.idle.erase(worst);
+    s.dirty = true;
   }
 }
 

@@ -8,7 +8,6 @@
 #endif
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -18,9 +17,6 @@ namespace ew {
 
 ReactorBackend Reactor::default_backend() {
 #ifdef __linux__
-  if (const char* env = std::getenv("EW_REACTOR_BACKEND")) {
-    if (std::strcmp(env, "select") == 0) return ReactorBackend::kSelect;
-  }
   return ReactorBackend::kEpoll;
 #else
   return ReactorBackend::kSelect;

@@ -14,9 +14,8 @@
 //   * kEpoll  — epoll(7), Linux only, no fd ceiling; the backend the c10k
 //     soak and every >1024-connection deployment uses. Level-triggered, so
 //     watcher semantics are identical to select.
-// The default is epoll where available; EW_REACTOR_BACKEND=select|epoll
-// overrides it at process level (useful to run the whole suite over the
-// portable backend).
+// The default is epoll where available; a caller that wants the portable
+// loop passes kSelect to the constructor.
 //
 // Dispatch is fd-lifetime safe in both backends: ready callbacks are
 // re-validated against the watcher map (fd + registration generation)
@@ -46,9 +45,8 @@ enum class ReactorBackend {
 
 class Reactor final : public Executor {
  public:
-  /// Backend the default constructor picks: kEpoll on Linux unless the
-  /// EW_REACTOR_BACKEND environment variable says otherwise; kSelect
-  /// elsewhere (and when the variable asks for it).
+  /// Backend the default constructor picks: kEpoll on Linux, kSelect
+  /// elsewhere.
   static ReactorBackend default_backend();
 
   Reactor() : Reactor(default_backend()) {}

@@ -515,17 +515,22 @@ class SchedWorld final : public BaseWorld {
 
   void release_units(const std::vector<std::uint64_t>& ids,
                      std::int64_t reason) {
+    // The pool's assigned units are exactly the ids in the scheduler-side
+    // leases, so an id that no lease holds was already reclaimed elsewhere.
+    std::vector<std::uint64_t> live;
     for (std::uint64_t id : ids) {
-      if (!pool_.assigned(id)) continue;  // already reclaimed elsewhere
-      pool_.release(id);
+      bool held = false;
+      for (auto& [ep, sc] : sched_clients_) held = sc.held.erase(id) > 0 || held;
+      if (!held) continue;
+      live.push_back(id);
       note_reclaimed(id, reason);
-      for (auto& [ep, sc] : sched_clients_) sc.held.erase(id);
     }
+    pool_.reclaim_many(live);
   }
 
   void top_up(SchedClient& sc, std::uint32_t want, core::DirectiveBatch& d) {
-    while (sc.held.size() < want) {
-      ramsey::WorkSpec spec = pool_.acquire();
+    if (sc.held.size() >= want) return;
+    for (ramsey::WorkSpec& spec : pool_.issue_many(want - sc.held.size())) {
       sc.held.insert(spec.unit_id);
       note_issued(spec.unit_id);
       d.assign.push_back(std::move(spec));

@@ -337,10 +337,6 @@ TEST(TcpTransport, SendToDeadPortTearsDownWithoutBlocking) {
 
 TEST(Reactor, DefaultBackendIsEpollOnLinux) {
 #ifdef __linux__
-  if (const char* env = std::getenv("EW_REACTOR_BACKEND");
-      env != nullptr && std::string(env) == "select") {
-    GTEST_SKIP() << "EW_REACTOR_BACKEND=select override active";
-  }
   EXPECT_EQ(Reactor().backend(), ReactorBackend::kEpoll);
 #else
   EXPECT_EQ(Reactor().backend(), ReactorBackend::kSelect);

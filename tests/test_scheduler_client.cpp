@@ -3,6 +3,8 @@
 // and the counter-example path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 #include "core/client.hpp"
@@ -270,11 +272,12 @@ TEST_F(SchedulerClientTest, MultiUnitLeaseReportedInBatches) {
   EXPECT_GT(sched.report_batches_received(), 3u);
   // Every batch covers the whole lease.
   EXPECT_EQ(sched.reports_received(), sched.report_batches_received() * 8);
-  // Round-robin minting touched every shard.
+  // Round-robin minting touched every shard: two units per residue class.
   ASSERT_EQ(sched.pool().shard_count(), 4u);
-  for (std::uint32_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(sched.pool().shard(k).units_issued(), 2u) << "shard " << k;
-  }
+  EXPECT_EQ(sched.pool().units_issued(), 8u);
+  std::array<int, 4> per_shard{};
+  for (std::uint64_t id : sched.pool().assigned_units()) ++per_shard[(id - 1) % 4];
+  EXPECT_EQ(per_shard, (std::array<int, 4>{2, 2, 2, 2}));
 }
 
 TEST_F(SchedulerClientTest, RetiredPerUnitReportWireIsRejected) {
@@ -332,6 +335,65 @@ TEST_F(SchedulerClientTest, RetiredPerUnitReportWireIsRejected) {
   EXPECT_EQ(sched.reports_received(), 1u);
 }
 
+TEST_F(SchedulerClientTest, DuplicateUnitInBatchCreditedAgainstRunningEnergy) {
+  // A batch that names one unit twice: each copy's per-kind credit is taken
+  // against the energy the pool holds when it absorbs that copy, so the
+  // second copy is measured from the first copy's result, not from the
+  // energy before the batch.
+  auto& sched = add_scheduler("sched", 20, 4);
+  auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
+  fake->start();
+  const Endpoint worker{"worker", 2000};
+  ClientHello hello;
+  hello.client = worker;
+  hello.infra = Infra::kUnix;
+  hello.host = "worker";
+  hello.want_units = 1;
+  std::optional<ramsey::WorkSpec> spec;
+  fake->call(Endpoint{"sched", 601}, msgtype::kSchedRegister, hello.serialize(),
+             CallOptions::fixed(kSecond), [&spec](Result<Bytes> r) {
+               ASSERT_TRUE(r.ok());
+               auto d = DirectiveBatch::deserialize(*r);
+               ASSERT_TRUE(d.ok() && !d->assign.empty());
+               spec = d->assign.front();
+             });
+  events_.run_for(5 * kSecond);
+  ASSERT_TRUE(spec.has_value());
+
+  std::uint64_t seq = 0;
+  auto send = [&](std::vector<std::uint64_t> energies) {
+    ReportBatch batch;
+    batch.client = worker;
+    batch.seq = ++seq;
+    batch.want_units = 1;
+    for (std::uint64_t e : energies) {
+      ramsey::WorkReport rep;
+      rep.unit_id = spec->unit_id;
+      rep.ops_done = 1'000'000'000;
+      rep.best_energy = e;
+      batch.reports.push_back(rep);
+    }
+    bool ok = false;
+    fake->call(Endpoint{"sched", 601}, msgtype::kSchedReportBatch,
+               batch.serialize(), CallOptions::fixed(kSecond),
+               [&ok](Result<Bytes> r) { ok = r.ok(); });
+    events_.run_for(5 * kSecond);
+    EXPECT_TRUE(ok);
+  };
+  send({100});     // first report: no earlier energy, no credit
+  send({80, 60});  // 100 -> 80, then 80 -> 60: credit 20 + 20
+  send({50, 55});  // 60 -> 50, then 55 is no better than 50: credit 10
+  EXPECT_EQ(sched.reports_received(), 5u);
+  EXPECT_EQ(sched.pool().best_energy(spec->unit_id),
+            std::optional<std::uint64_t>(50));
+  const auto kind = static_cast<std::size_t>(spec->kind);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const auto& ks = sched.kind_stats()[k];
+    EXPECT_EQ(ks.improvement, k == kind ? 50.0 : 0.0) << "kind " << k;
+    EXPECT_EQ(ks.gops, k == kind ? 5.0 : 0.0) << "kind " << k;
+  }
+}
+
 TEST_F(SchedulerClientTest, ShardedRestartReplaysPerShardWithoutDoubleIssue) {
   // Per-shard checkpoints: a restarted 2-shard scheduler re-imports each
   // shard from its own record, every unit lands back in its residue class,
@@ -363,15 +425,10 @@ TEST_F(SchedulerClientTest, ShardedRestartReplaysPerShardWithoutDoubleIssue) {
   const auto& pool = schedulers_[0]->pool();
   EXPECT_EQ(schedulers_[0]->active_clients(), 2u);
   EXPECT_EQ(pool.assigned_count(), 8u);
-  for (std::uint32_t k = 0; k < 2; ++k) {
-    const auto ids = pool.shard(k).assigned_units();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ((ids[i] - 1) % 2, k) << "unit outside its shard's range";
-      if (i > 0) {
-        EXPECT_NE(ids[i], ids[i - 1]) << "double-issued unit";
-      }
-    }
-  }
+  const auto ids = pool.assigned_units();  // sorted
+  ASSERT_EQ(ids.size(), 8u);
+  EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
+      << "double-issued unit";
 }
 
 TEST_F(SchedulerClientTest, ThunderingHerdSpreadBySleep) {

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/protocol.hpp"
 #include "core/server_directory.hpp"
+#include "core/work_pool.hpp"
 #include "gossip/protocol.hpp"
 #include "wish/env_store.hpp"
 #include "wish/protocol.hpp"
@@ -148,6 +150,88 @@ TEST(WireGolden, EnvStoreSnapshot) {
   wish::EnvStore other(78);
   ASSERT_TRUE(other.apply(unhex(golden)).ok());
   EXPECT_EQ(hex(other.snapshot()), golden);
+}
+
+// The scheduler's per-shard frontier checkpoints: a fixed issue / report /
+// reclaim script on a 3-shard pool with a per-shard idle cap of 2, then every
+// shard's export against literal hex. Pins unit ids and mint order, frontier
+// stealing, per-shard trimming and the checkpoint bytes.
+ramsey::WorkReport pool_report(std::uint64_t unit, std::uint64_t energy,
+                               bool with_graph = true) {
+  ramsey::WorkReport r;
+  r.unit_id = unit;
+  r.ops_done = 1000;
+  r.best_energy = energy;
+  if (with_graph) {
+    Rng rng(unit + 1);
+    r.best_graph = ramsey::ColoredGraph::random(6, rng).serialize();
+  }
+  return r;
+}
+
+TEST(WireGolden, WorkPoolShardCheckpoints) {
+  core::WorkPool::Options o;
+  o.n = 6;
+  o.k = 3;
+  o.seed_base = 7;
+  o.max_idle_frontier = 2;
+  core::WorkPool pool(o, 3);
+  std::vector<std::uint64_t> ids;
+  for (const auto& s : pool.issue_many(7)) ids.push_back(s.unit_id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7}));
+  pool.report_many(std::vector<ramsey::WorkReport>{
+      pool_report(1, 40), pool_report(2, 31), pool_report(3, 22),
+      pool_report(4, 35), pool_report(5, 12, false), pool_report(6, 50),
+      pool_report(7, 27), pool_report(99, 1)});
+  pool.reclaim_many(std::vector<std::uint64_t>{1, 2, 3, 4, 5, 7});
+  ids.clear();
+  for (const auto& s : pool.issue_many(3)) {
+    ids.push_back(s.unit_id);
+    EXPECT_TRUE(s.resume.has_value());
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{3, 7, 2}));
+  pool.report_many(std::vector<ramsey::WorkReport>{
+      pool_report(3, 9), pool_report(6, 44), pool_report(6, 60)});
+  pool.reclaim_many(std::vector<std::uint64_t>{3, 6});
+  EXPECT_TRUE(pool.issue_unit(6).has_value());
+  EXPECT_EQ(pool.steals(), 2u);
+  EXPECT_EQ(pool.units_issued(), 7u);
+  EXPECT_EQ(pool.idle_frontier_size(), 2u);
+  EXPECT_EQ(pool.assigned_units(), (std::vector<std::uint64_t>{2, 6, 7}));
+
+  const std::vector<std::string> golden = {
+      "0200000004000000000000000b000000000000000123000000000000"
+      "00310000000602000000000000002100000000000000280000000000"
+      "00001400000000000000080000000000000006000000000000000700"
+      "0000000000000e00000000000000011b000000000000003100000006"
+      "20000000000000000c00000000000000020000000000000012000000"
+      "0000000008000000000000000100000000000000",
+      "0100000002000000000000000900000000000000021f000000000000"
+      "00310000000628000000000000000c000000000000000a0000000000"
+      "0000070000000000000000000000000000000100000000000000",
+      "0200000003000000000000000a000000000000000009000000000000"
+      "0031000000062a000000000000002900000000000000180000000000"
+      "000017000000000000000c0000000000000003000000000000000600"
+      "0000000000000d00000000000000002c000000000000003100000006"
+      "04000000000000003800000000000000090000000000000006000000"
+      "0000000022000000000000001200000000000000"};
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE(pool.shard_dirty(k));
+    EXPECT_EQ(hex(pool.export_shard(k)), golden[k]) << "shard " << k;
+  }
+
+  // A fresh pool replays each shard's golden bytes into that shard only.
+  core::WorkPool restored(o, 3);
+  const std::size_t own[] = {2, 1, 2};
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(restored.import_shard(k, unhex(golden[k])), own[k]);
+    EXPECT_EQ(restored.import_shard(k, unhex(golden[(k + 1) % 3])), 0u);
+  }
+  EXPECT_EQ(restored.idle_frontier_size(), 5u);
+  EXPECT_EQ(restored.units_issued(), 6u);
+  ids.clear();
+  for (const auto& s : restored.issue_many(4)) ids.push_back(s.unit_id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{3, 7, 2, 4}));
 }
 
 }  // namespace
