@@ -91,10 +91,10 @@ int main(int argc, char** argv) {
   // rates; the control site (logging + persistent state) takes one scripted
   // ten-minute outage so the state-reload path runs too.
   std::vector<std::string> hosts;
-  for (int i = 0; i < opts.num_schedulers; ++i) {
+  for (int i = 0; i < app::ScenarioOptions::kNumSchedulers; ++i) {
     hosts.push_back("sched-" + std::to_string(i));
   }
-  for (int i = 0; i < opts.num_gossips; ++i) {
+  for (int i = 0; i < app::ScenarioOptions::kNumGossips; ++i) {
     hosts.push_back("gossip-" + std::to_string(i));
   }
   const TimePoint churn_start = opts.warmup + 20 * kMinute;
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
     // Units still assigned on a live scheduler are in flight, not lost; a
     // crash the churn tail never restarted is forgiven within one mean
     // downtime of the horizon.
-    for (int i = 0; i < opts.num_schedulers; ++i) {
+    for (int i = 0; i < app::ScenarioOptions::kNumSchedulers; ++i) {
       if (core::SchedulerServer* s = scenario.scheduler_server(i)) {
         for (std::uint64_t id : s->pool().assigned_units()) {
           iopts.live_units.insert(id);
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   // fail). Bins covered by the scripted outage are a measurement gap, not a
   // delivery gap.
   const std::size_t outage_bins =
-      static_cast<std::size_t>(10 * kMinute / opts.bin_width) + 1;
+      static_cast<std::size_t>(10 * kMinute / app::ScenarioOptions::kBinWidth) + 1;
 
   const std::size_t half = res.total_rate.size() / 2;
   const double day1 = series_mean(std::vector<double>(

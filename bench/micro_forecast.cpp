@@ -7,7 +7,7 @@
 // BENCH trajectory can track ns/observe across PRs:
 //
 //   {"bench":"micro_forecast","samples":...,"ns_per_observe":...,
-//    "ns_per_forecast":...,"ns_per_bank_record":...,
+//    "ns_per_forecast":...,"ns_per_on_result":...,
 //    "ns_per_batch_observe":...,"per_method":{"last":...,...},
 //    "checksum":...}
 //
@@ -20,9 +20,9 @@
 
 #include "bench/bench_util.hpp"
 #include "common/rng.hpp"
-#include "forecast/dynamic_benchmark.hpp"
 #include "forecast/forecaster.hpp"
 #include "forecast/selector.hpp"
+#include "forecast/timeout.hpp"
 #include "sim/traces.hpp"
 
 namespace ew {
@@ -75,25 +75,28 @@ int main(int argc, char** argv) {
   });
   checksum += fc.checksum;
 
-  // Bank record: hash lookup + observe, the full per-RPC path.
-  EventForecasterBank bank;
-  const EventTag tag{"sched-0:601", 0x0202};
-  for (double v : make_series(512, 98)) bank.record(tag, v);
-  const Timed rec = time_per_op(kObs, [&](std::size_t i) {
-    bank.record(tag, series[i]);
+  // AdaptiveTimeout::on_result on one RttStream: forecaster observe plus the
+  // tail-window insert, the measurement every completed call feeds back.
+  // RTTs are whole microseconds (the series read as milliseconds).
+  const AdaptiveTimeout timeouts;
+  RttStream stream(AdaptiveTimeout::kTailWindow);
+  auto rtt = [](double ms) { return static_cast<Duration>(ms * kMillisecond); };
+  for (double v : make_series(512, 98)) timeouts.on_result(stream, rtt(v), true);
+  const Timed res = time_per_op(kObs, [&](std::size_t i) {
+    timeouts.on_result(stream, rtt(series[i]), true);
     return 0.0;
   });
-  checksum += rec.checksum + bank.forecast(tag).value;
+  checksum += res.checksum + stream.forecaster.forecast().value;
 
-  // Batch replay (sim traces -> record_batch), amortizing the tag lookup.
+  // Batch observe of a synthetic RTT trace on a fresh forecaster.
   const auto trace =
       sim::MeasurementTrace::synthetic_rtt(quick ? 5'000 : 200'000, Rng(7));
-  EventForecasterBank replay_bank;
+  auto batch = AdaptiveForecaster::nws_default();
   const double tr0 = now_ns();
-  trace.replay_into(replay_bank, tag);
+  batch.observe(trace.values());
   const double tr1 = now_ns();
   const double ns_batch = (tr1 - tr0) / static_cast<double>(trace.size());
-  checksum += replay_bank.forecast(tag).value;
+  checksum += batch.forecast().value;
 
   // Per-method breakdown (observe cost of each battery member alone).
   bench::JsonWriter per_method;
@@ -110,7 +113,7 @@ int main(int argc, char** argv) {
   line.u64("samples", kObs)
       .f("ns_per_observe", obs.ns_per_op, 1)
       .f("ns_per_forecast", fc.ns_per_op, 1)
-      .f("ns_per_bank_record", rec.ns_per_op, 1)
+      .f("ns_per_on_result", res.ns_per_op, 1)
       .f("ns_per_batch_observe", ns_batch, 1)
       .raw("per_method", per_method.object())
       .g("checksum", checksum);

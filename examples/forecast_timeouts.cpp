@@ -16,7 +16,7 @@ int main() {
   AdaptiveTimeout adaptive;
   // One (state-server, message type) stream; the static policy is a
   // constant and learns nothing, per its nature.
-  RttStream stream(adaptive.options().tail_window);
+  RttStream stream(AdaptiveTimeout::kTailWindow);
   constexpr Duration kStaticTimeout = 1 * kSecond;
 
   std::printf("%-6s %-12s %-12s %-12s %-8s %-8s\n", "req#", "rtt(ms)",

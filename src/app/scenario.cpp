@@ -12,8 +12,16 @@ constexpr std::uint16_t kStatePort = 402;
 constexpr std::uint16_t kControlPort = 403;
 constexpr std::uint16_t kGossipPort = 501;
 constexpr std::uint16_t kSchedulerPort = 601;
-constexpr std::uint16_t kWishPort = 701;
 const char* kControlHost = "sdsc-control";
+
+constexpr Duration kHostSamplePeriod = 1 * kMinute;
+constexpr Duration kJudgingAcute = 8 * kMinute;  // heavy phase (drop to ~1.1 Gops)
+constexpr Duration kJudgingTail = 22 * kMinute;  // demo continues, milder
+constexpr double kJudgingCongestion = 3.6;
+constexpr double kJudgingPressure = 0.60;
+constexpr double kJudgingReclaim = 0.15;
+constexpr double kTailCongestion = 1.8;
+constexpr double kTailPressure = 0.85;
 
 int scaled(int count, double scale) {
   return std::max(1, static_cast<int>(count * scale));
@@ -34,16 +42,12 @@ Sc98Scenario::~Sc98Scenario() {
     if (g->server) g->server->stop();
     if (g->node) g->node->stop();
   }
-  for (auto& w : wish_units_) {
-    if (w->daemon) w->daemon->stop();
-    if (w->node) w->node->stop();
-  }
   for (auto& a : adapters_) a->stop();
 }
 
 std::vector<Endpoint> Sc98Scenario::scheduler_endpoints() const {
   std::vector<Endpoint> out;
-  for (int i = 0; i < opts_.num_schedulers; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
     out.push_back(Endpoint{"sched-" + std::to_string(i), kSchedulerPort});
   }
   return out;
@@ -51,16 +55,8 @@ std::vector<Endpoint> Sc98Scenario::scheduler_endpoints() const {
 
 std::vector<Endpoint> Sc98Scenario::gossip_endpoints() const {
   std::vector<Endpoint> out;
-  for (int i = 0; i < opts_.num_gossips; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumGossips; ++i) {
     out.push_back(Endpoint{"gossip-" + std::to_string(i), kGossipPort});
-  }
-  return out;
-}
-
-std::vector<Endpoint> Sc98Scenario::wish_endpoints() const {
-  std::vector<Endpoint> out;
-  for (int i = 0; i < opts_.num_wish_daemons; ++i) {
-    out.push_back(Endpoint{"wish-" + std::to_string(i), kWishPort});
   }
   return out;
 }
@@ -72,19 +68,13 @@ void Sc98Scenario::build_network() {
   network_.set_default_latencies(1 * kMillisecond, 35 * kMillisecond);
   network_.set_site(kControlHost, "sdsc");
   const char* gossip_sites[] = {"sdsc", "ncsa", "utk", "condor"};
-  for (int i = 0; i < opts_.num_gossips; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumGossips; ++i) {
     network_.set_site("gossip-" + std::to_string(i), gossip_sites[i % 4]);
   }
   const char* sched_sites[] = {"sdsc", "ncsa", "utk"};
-  for (int i = 0; i < opts_.num_schedulers; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
     network_.set_site("sched-" + std::to_string(i),
                       opts_.schedulers_in_condor ? "condor" : sched_sites[i % 3]);
-  }
-  // WISH daemons spread across the paper's sites like the gossips, so the
-  // shell's collectives genuinely cross the wide area.
-  const char* wish_sites[] = {"sdsc", "ncsa", "utk", "condor"};
-  for (int i = 0; i < opts_.num_wish_daemons; ++i) {
-    network_.set_site("wish-" + std::to_string(i), wish_sites[i % 4]);
   }
 }
 
@@ -92,10 +82,7 @@ core::SchedulerServer::Options Sc98Scenario::scheduler_options(int index) const 
   core::SchedulerServer::Options o;
   o.logging = Endpoint{kControlHost, kLoggingPort};
   o.state_manager = Endpoint{kControlHost, kStatePort};
-  o.pool.n = opts_.pool_n;
-  o.pool.k = opts_.pool_k;
   o.pool.seed_base = opts_.seed * 7919 + static_cast<std::uint64_t>(index) * 104729;
-  o.pool_shards = static_cast<std::uint32_t>(std::max(1, opts_.sched_pool_shards));
   return o;
 }
 
@@ -179,32 +166,14 @@ void Sc98Scenario::build_chaos() {
               unit->node.emplace(events_, transport_,
                                  Endpoint{host, kGossipPort});
               unit->node->start();
-              gossip::GossipServer::Options gopts;
-              gopts.num_cliques =
-                  static_cast<std::uint32_t>(opts_.num_gossip_cliques);
               unit->server.emplace(*unit->node, comparators_,
-                                   gossip_endpoints(), gopts);
+                                   gossip_endpoints());
               // start() announces the member to its well-known peers, so
               // the restarted gossip rejoins the clique instead of wedging
               // as a stale singleton; components re-register on their next
               // lease renewal.
               unit->server->start();
             }});
-  }
-  for (auto& up : wish_units_) {
-    auto* unit = up.get();
-    chaos_->register_process(
-        unit->host,
-        sim::ChaosEngine::Process{
-            [unit] {
-              // Crash-stop: the job table, barrier groups and leader wins
-              // die here; only the env store's gossip replicas survive.
-              if (unit->daemon) unit->daemon->stop();
-              if (unit->node) unit->node->crash();
-              unit->daemon.reset();
-              unit->node.reset();
-            },
-            [this, unit] { start_wish(*unit); }});
   }
   // The control site's logging + state services crash and restart as one
   // process; the state manager reloads from state_storage_dir on restart.
@@ -243,26 +212,6 @@ core::PersistentStateManager* Sc98Scenario::state_manager() {
   return state_ ? &*state_ : nullptr;
 }
 
-wish::WishDaemon* Sc98Scenario::wish_daemon(int i) {
-  if (i < 0 || static_cast<std::size_t>(i) >= wish_units_.size()) return nullptr;
-  auto& unit = *wish_units_[static_cast<std::size_t>(i)];
-  return unit.daemon ? &*unit.daemon : nullptr;
-}
-
-void Sc98Scenario::start_wish(WishUnit& unit) {
-  unit.node.emplace(events_, transport_, Endpoint{unit.host, kWishPort});
-  if (Status s = unit.node->start(); !s.ok()) {
-    EW_ERROR << "wish bind failed: " << s.to_string();
-    return;
-  }
-  wish::WishDaemon::Options wopts;
-  wopts.incarnation = ++unit.incarnation;  // job ids can never collide across restarts
-  wopts.peers = wish_endpoints();
-  wopts.gossips = gossip_endpoints();
-  unit.daemon.emplace(*unit.node, comparators_, wopts);
-  unit.daemon->start();
-}
-
 void Sc98Scenario::start_control_services() {
   logging_node_.emplace(events_, transport_, Endpoint{kControlHost, kLoggingPort});
   logging_node_->start();
@@ -287,26 +236,17 @@ void Sc98Scenario::start_control_services() {
 void Sc98Scenario::build_services() {
   start_control_services();
 
-  for (int i = 0; i < opts_.num_gossips; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumGossips; ++i) {
     auto unit = std::make_unique<GossipUnit>();
     unit->node.emplace(events_, transport_,
                        Endpoint{"gossip-" + std::to_string(i), kGossipPort});
     unit->node->start();
-    gossip::GossipServer::Options gopts;
-    gopts.num_cliques = static_cast<std::uint32_t>(opts_.num_gossip_cliques);
-    unit->server.emplace(*unit->node, comparators_, gossip_endpoints(), gopts);
+    unit->server.emplace(*unit->node, comparators_, gossip_endpoints());
     unit->server->start();
     gossips_.push_back(std::move(unit));
   }
 
-  for (int i = 0; i < opts_.num_wish_daemons; ++i) {
-    auto unit = std::make_unique<WishUnit>();
-    unit->host = "wish-" + std::to_string(i);
-    wish_units_.push_back(std::move(unit));
-  }
-  for (auto& unit : wish_units_) start_wish(*unit);
-
-  for (int i = 0; i < opts_.num_schedulers; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
     auto unit = std::make_unique<SchedulerUnit>();
     unit->host = "sched-" + std::to_string(i);
     unit->endpoint = Endpoint{unit->host, kSchedulerPort};
@@ -316,7 +256,7 @@ void Sc98Scenario::build_services() {
     // Section 5.4 ablation: schedulers live on reclaimable hosts and die
     // (losing their soft state) whenever the owner returns.
     const auto condor = infra::default_profile(core::Infra::kCondor);
-    for (int i = 0; i < opts_.num_schedulers; ++i) {
+    for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
       auto* unit = schedulers_[static_cast<std::size_t>(i)].get();
       infra::HostSpec spec;
       spec.name = unit->host;
@@ -334,7 +274,7 @@ void Sc98Scenario::build_services() {
       scheduler_hosts_.push_back(std::move(host));
     }
   } else {
-    for (int i = 0; i < opts_.num_schedulers; ++i) {
+    for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
       start_scheduler(*schedulers_[static_cast<std::size_t>(i)],
                       static_cast<std::uint64_t>(i));
     }
@@ -348,7 +288,7 @@ void Sc98Scenario::build_services() {
   // throughout the run.
   std::vector<Endpoint> station_eps;
   station_eps.push_back(Endpoint{kControlHost, 950});
-  for (int i = 0; i < std::min(opts_.num_gossips, 3); ++i) {
+  for (int i = 0; i < std::min(ScenarioOptions::kNumGossips, 3); ++i) {
     station_eps.push_back(Endpoint{"gossip-" + std::to_string(i), 950});
   }
   for (const auto& ep : station_eps) {
@@ -366,7 +306,7 @@ void Sc98Scenario::build_services() {
   // Server directory (Section 3.1.2's "up-to-date list of active servers"):
   // one directory node per scheduler host, replicated through the Gossips.
   core::ServerDirectoryModule::register_comparator(comparators_);
-  for (int i = 0; i < opts_.num_schedulers; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
     auto fw = std::make_unique<core::ServiceFramework>(
         events_, transport_, Endpoint{"sched-" + std::to_string(i), 602},
         gossip_endpoints(), comparators_);
@@ -470,16 +410,16 @@ void Sc98Scenario::schedule_spike() {
   const TimePoint t0 = opts_.warmup + opts_.judging_offset;
   sim::Spike acute;
   acute.start = t0;
-  acute.end = t0 + opts_.judging_acute;
-  acute.congestion = opts_.judging_congestion;
-  acute.cpu_pressure = opts_.judging_pressure;
-  acute.reclaim_fraction = opts_.judging_reclaim;
+  acute.end = t0 + kJudgingAcute;
+  acute.congestion = kJudgingCongestion;
+  acute.cpu_pressure = kJudgingPressure;
+  acute.reclaim_fraction = kJudgingReclaim;
   acute.label = "judging (acute)";
   sim::Spike tail;
   tail.start = acute.end;
-  tail.end = t0 + opts_.judging_tail;
-  tail.congestion = opts_.tail_congestion;
-  tail.cpu_pressure = opts_.tail_pressure;
+  tail.end = t0 + kJudgingTail;
+  tail.congestion = kTailCongestion;
+  tail.cpu_pressure = kTailPressure;
   tail.reclaim_fraction = 0.0;
   tail.label = "judging (demo)";
   spikes_.add(acute);
@@ -500,7 +440,7 @@ void Sc98Scenario::schedule_spike() {
 }
 
 void Sc98Scenario::schedule_host_sampling() {
-  events_.schedule(opts_.host_sample_period, [this] {
+  events_.schedule(kHostSamplePeriod, [this] {
     const TimePoint now = events_.now();
     for (auto& a : adapters_) {
       metrics_->sample_hosts(a->kind(), a->hosts_active(), now);
@@ -517,8 +457,8 @@ ScenarioResults Sc98Scenario::run() {
   build_services();
   build_adapters();
 
-  const auto bins = static_cast<std::size_t>(opts_.record / opts_.bin_width);
-  metrics_.emplace(opts_.warmup, opts_.bin_width, bins);
+  const auto bins = static_cast<std::size_t>(opts_.record / ScenarioOptions::kBinWidth);
+  metrics_.emplace(opts_.warmup, ScenarioOptions::kBinWidth, bins);
   logging_->set_sink([this](const core::LogRecord& rec) { metrics_->on_log(rec); });
   schedule_spike();
   schedule_host_sampling();
@@ -553,7 +493,7 @@ ScenarioResults Sc98Scenario::run() {
   for (const auto* s : nws_stations_) out.nws_probes += s->probes_completed();
   if (!directories_.empty()) out.directory_size = directories_[0]->directory().size();
   out.bins_judging_index =
-      static_cast<std::size_t>(opts_.judging_offset / opts_.bin_width);
+      static_cast<std::size_t>(opts_.judging_offset / ScenarioOptions::kBinWidth);
   return out;
 }
 

@@ -41,52 +41,33 @@
 #include "sim/network_model.hpp"
 #include "sim/sim_transport.hpp"
 #include "sim/traces.hpp"
-#include "wish/daemon.hpp"
 
 namespace ew::app {
 
 struct ScenarioOptions {
+  /// Fixed shape of every run: Figure-2 bin width and server counts.
+  static constexpr Duration kBinWidth = 5 * kMinute;
+  static constexpr int kNumSchedulers = 3;
+  static constexpr int kNumGossips = 4;
+
   std::uint64_t seed = 42;
   /// Ramp-up before the recording window (registrations, staging, clique
   /// formation). The paper's application had been running since June.
   Duration warmup = 45 * kMinute;
   /// The Figure-2 window: 23:36:56 -> 11:36:56 PST, 144 five-minute bins.
   Duration record = 12 * kHour;
-  Duration bin_width = 5 * kMinute;
-  Duration host_sample_period = 1 * kMinute;
 
   bool enable_spike = true;
   /// Judging begins 11:00:00 PST = 11h23m04s into the recording window.
   Duration judging_offset = 11 * kHour + 23 * kMinute + 4 * kSecond;
-  Duration judging_acute = 8 * kMinute;    // heavy phase (drop to ~1.1 Gops)
-  Duration judging_tail = 22 * kMinute;    // demo continues, milder
-  double judging_congestion = 3.6;
-  double judging_pressure = 0.60;
-  double judging_reclaim = 0.15;
-  double tail_congestion = 1.8;
-  double tail_pressure = 0.85;
 
   bool adaptive_timeouts = true;       // ablation: §2.2 static time-outs
   Duration static_timeout = 1 * kSecond;  // used when adaptive_timeouts=false
   bool schedulers_in_condor = false;   // ablation: §5.4 scheduler placement
 
-  int num_schedulers = 3;
-  int num_gossips = 4;
-  /// WISH interactive-shell daemons ("wish-N", port 701). 0 = subsystem off
-  /// (the default; the 12-hour Figure runs are unchanged). When present the
-  /// daemons sync the global environment through the gossip pool, and the
-  /// chaos plan may target their hosts for crash/restart.
-  int num_wish_daemons = 0;
-  /// Child cliques the gossip pool shards into (1 = flat, the default — the
-  /// chaos replay tests pin the single-shard trace bit-for-bit).
-  int num_gossip_cliques = 1;
   Duration report_interval = 2 * kMinute;
-  int pool_n = 42;  // search K_42 colorings for mono-K_5 freedom (R5 bound)
-  int pool_k = 5;
   /// Work-unit lease per client (batched directive API, DESIGN.md §13).
   int units_per_client = 1;
-  /// Range-shards inside each scheduler's work pool.
-  int sched_pool_shards = 1;
   /// Per-infrastructure host-count override; 0 keeps the calibrated default.
   std::array<int, core::kInfraCount> host_count_override{};
   /// Scale every pool's host count (quick small runs for tests).
@@ -147,8 +128,6 @@ class Sc98Scenario {
   [[nodiscard]] core::SchedulerServer* scheduler_server(int i);
   [[nodiscard]] gossip::GossipServer* gossip_server(int i);
   [[nodiscard]] core::PersistentStateManager* state_manager();
-  /// Null when i is crashed or num_wish_daemons didn't cover it.
-  [[nodiscard]] wish::WishDaemon* wish_daemon(int i);
 
  private:
   struct SchedulerUnit {
@@ -162,13 +141,6 @@ class Sc98Scenario {
     std::uint64_t dead_total = 0;
   };
 
-  struct WishUnit {
-    std::string host;
-    std::uint64_t incarnation = 0;  // monotonic across chaos restarts
-    std::optional<Node> node;
-    std::optional<wish::WishDaemon> daemon;
-  };
-
   void build_network();
   void build_services();
   void build_adapters();
@@ -178,13 +150,11 @@ class Sc98Scenario {
   void stop_scheduler(SchedulerUnit& unit);
   void crash_scheduler(SchedulerUnit& unit);
   void start_control_services();
-  void start_wish(WishUnit& unit);
   void schedule_spike();
   void schedule_host_sampling();
   core::SchedulerServer::Options scheduler_options(int index) const;
   [[nodiscard]] std::vector<Endpoint> scheduler_endpoints() const;
   [[nodiscard]] std::vector<Endpoint> gossip_endpoints() const;
-  [[nodiscard]] std::vector<Endpoint> wish_endpoints() const;
 
   ScenarioOptions opts_;
   sim::EventQueue events_;
@@ -209,7 +179,6 @@ class Sc98Scenario {
     std::optional<gossip::GossipServer> server;
   };
   std::vector<std::unique_ptr<GossipUnit>> gossips_;
-  std::vector<std::unique_ptr<WishUnit>> wish_units_;
   std::optional<sim::ChaosEngine> chaos_;
   // Figure-1 auxiliary services: NWS monitoring stations and the
   // volatile-but-replicated server directory, both on the §6 framework.

@@ -11,11 +11,29 @@
 
 namespace ew {
 
-/// 64-bit FNV-1a.
-constexpr std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+/// FNV-1a 64-bit offset basis: the state before any byte is hashed.
+constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a continued from state `h` over the bytes of `s`, so
+/// fnv1a64(fnv1a64(a), b) == fnv1a64(a + b).
+constexpr std::uint64_t fnv1a64(std::uint64_t h, std::string_view s) {
   for (const char c : s) {
     h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// 64-bit FNV-1a.
+constexpr std::uint64_t fnv1a64(std::string_view s) {
+  return fnv1a64(kFnv1a64Basis, s);
+}
+
+/// FNV-1a continued from state `h` over the eight bytes of `v`, least
+/// significant first.
+constexpr std::uint64_t fnv1a64(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
     h *= 0x100000001b3ULL;
   }
   return h;

@@ -2,6 +2,10 @@
 
 namespace ew::core {
 
+namespace {
+constexpr std::size_t kRetainSnapshots = 256;  // metrics documents kept
+}  // namespace
+
 void LoggingServer::start() {
   if (running_) return;
   running_ = true;
@@ -46,7 +50,7 @@ void LoggingServer::on_snapshot(const IncomingMessage& msg) {
   }
   ++snapshots_received_;
   recent_snapshots_.push_back(*snap);
-  while (recent_snapshots_.size() > opts_.retain_snapshots) {
+  while (recent_snapshots_.size() > kRetainSnapshots) {
     recent_snapshots_.pop_front();
   }
   if (snapshot_sink_) snapshot_sink_(*snap);

@@ -29,7 +29,6 @@ class LoggingServer {
 
   struct Options {
     std::size_t retain_records = 10'000;  // bounded footprint (Section 3.1.2)
-    std::size_t retain_snapshots = 256;   // metrics documents kept
   };
 
   explicit LoggingServer(Node& node) : LoggingServer(node, Options{}) {}

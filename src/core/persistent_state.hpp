@@ -34,7 +34,6 @@ class PersistentStateManager {
   using Validator = std::function<Status(const std::string& name, const Bytes& body)>;
 
   struct Options {
-    bool trusted_site = true;
     std::size_t max_objects = 10'000;
     /// When non-empty, every accepted object is also written to this
     /// directory (atomically: tmp + rename) and start() reloads whatever is

@@ -13,6 +13,16 @@ namespace ew::core {
 
 namespace {
 
+constexpr double kOverdueFactor = 5.0;  // multiples of forecast report interval
+constexpr double kMigrationRatio = 0.25;  // slow if forecast < ratio * pool median
+/// A client's workload is moved at most once per cooldown — permanently
+/// slow resources (interpreted Java applets) must not thrash the pool.
+constexpr Duration kMigrationCooldown = 30 * kMinute;
+/// Frontier checkpoint cadence to the persistent state manager (the
+/// scheduler's soft state rebuilds from re-registrations, but search
+/// progress must survive a restart).
+constexpr Duration kCheckpointPeriod = 5 * kMinute;
+
 void erase_unit(std::vector<std::uint64_t>& units, std::uint64_t id) {
   units.erase(std::remove(units.begin(), units.end(), id), units.end());
 }
@@ -36,9 +46,9 @@ void SchedulerServer::start() {
   sweep_timer_ = node_.executor().schedule(opts_.sweep_period, [this] { sweep_tick(); });
   migrate_timer_ =
       node_.executor().schedule(opts_.migration_period, [this] { migrate_tick(); });
-  if (opts_.checkpoint_period > 0 && opts_.state_manager.valid()) {
+  if (opts_.state_manager.valid()) {
     restore_frontier();
-    checkpoint_timer_ = node_.executor().schedule(opts_.checkpoint_period,
+    checkpoint_timer_ = node_.executor().schedule(kCheckpointPeriod,
                                                   [this] { checkpoint_tick(); });
   }
 }
@@ -91,7 +101,7 @@ void SchedulerServer::update_pool_gauges() {
 
 void SchedulerServer::checkpoint_tick() {
   if (!running_) return;
-  checkpoint_timer_ = node_.executor().schedule(opts_.checkpoint_period,
+  checkpoint_timer_ = node_.executor().schedule(kCheckpointPeriod,
                                                 [this] { checkpoint_tick(); });
   // Incremental: only shards whose frontier content changed since their last
   // export are stored, each under its own per-shard name.
@@ -369,7 +379,7 @@ ramsey::HeuristicKind SchedulerServer::choose_kind(std::uint64_t unit_id) const 
 Duration SchedulerServer::overdue_threshold(const ClientInfo& info) const {
   const Forecast f = info.interval.forecast();
   if (f.samples < 2) return opts_.overdue_floor;
-  const auto d = static_cast<Duration>(opts_.overdue_factor * f.value);
+  const auto d = static_cast<Duration>(kOverdueFactor * f.value);
   return std::max(d, opts_.overdue_floor);
 }
 
@@ -414,11 +424,11 @@ void SchedulerServer::migrate_tick() {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   const double median = rates[rates.size() / 2].first;
   const auto slow_it = std::find_if(rates.begin(), rates.end(), [&](const auto& r) {
-    return now - clients_.at(r.second).last_migration >= opts_.migration_cooldown;
+    return now - clients_.at(r.second).last_migration >= kMigrationCooldown;
   });
   if (slow_it == rates.end()) return;
   const auto& [slow_rate, slow_ep] = *slow_it;
-  if (slow_rate >= opts_.migration_ratio * median) return;
+  if (slow_rate >= kMigrationRatio * median) return;
 
   ClientInfo& slow = clients_.at(slow_ep);
   slow.last_migration = now;

@@ -52,17 +52,8 @@ class SchedulerServer {
     /// Ceiling on any one client's lease (want_units is clamped to this).
     std::uint32_t max_units_per_client = 8192;
     Duration sweep_period = 30 * kSecond;
-    double overdue_factor = 5.0;    // multiples of forecast report interval
     Duration overdue_floor = 2 * kMinute;  // before forecasts warm up
     Duration migration_period = 60 * kSecond;
-    double migration_ratio = 0.25;  // slow if forecast < ratio * pool median
-    /// A client's workload is moved at most once per cooldown — permanently
-    /// slow resources (interpreted Java applets) must not thrash the pool.
-    Duration migration_cooldown = 30 * kMinute;
-    /// Frontier checkpoint cadence to the persistent state manager (the
-    /// scheduler's soft state rebuilds from re-registrations, but search
-    /// progress must survive a restart). 0 disables.
-    Duration checkpoint_period = 5 * kMinute;
   };
 
   SchedulerServer(Node& node, Options opts);

@@ -4,6 +4,11 @@
 
 namespace ew::core {
 
+namespace {
+/// Entries older than this many of *our* heartbeats are considered dead.
+constexpr std::uint64_t kStaleAfter = 6;
+}  // namespace
+
 bool ServerList::merge(const ServerEntry& e) {
   auto it = map_.find(e.server);
   if (it == map_.end()) {
@@ -147,7 +152,7 @@ void ServerDirectoryModule::attach(ServiceContext& ctx) {
              });
   ctx.every(opts_.heartbeat_period, [this] {
     list_.merge(ServerEntry{self_, ++beat_});
-    list_.prune(opts_.stale_after);
+    list_.prune(kStaleAfter);
   });
 }
 

@@ -73,8 +73,6 @@ class ServerDirectoryModule final : public ServiceModule {
  public:
   struct Options {
     Duration heartbeat_period = 20 * kSecond;
-    /// Entries older than this many of *our* heartbeats are considered dead.
-    std::uint64_t stale_after = 6;
   };
 
   ServerDirectoryModule() : ServerDirectoryModule(Options{}) {}

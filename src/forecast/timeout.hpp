@@ -6,7 +6,7 @@
 // time-out discovery proved crucial to overall program stability."
 //
 // AdaptiveTimeout prices one (server, message type) RTT stream: forecast +
-// safety_factor * expected error, clamped to [floor, ceiling]. Failed
+// a fixed multiple of expected error, clamped to [floor, ceiling]. Failed
 // requests feed back an inflated pseudo-sample so repeated timeouts push the
 // interval up instead of thrashing. The streams themselves live with their
 // owner (CallPolicy keeps one per destination and message type), so pricing
@@ -42,16 +42,10 @@ class AdaptiveTimeout {
   struct Options {
     Duration floor = 50 * kMillisecond;    // never spin-retry faster than this
     Duration ceiling = 60 * kSecond;       // never hang longer than this
-    Duration initial = 5 * kSecond;        // before any measurement
-    double safety_factor = 4.0;            // multiples of expected error
-    double failure_inflation = 2.0;        // pseudo-sample on timeout
-    /// Response times are heavy-tailed (queueing); mean + k*MAE alone
-    /// misjudges live-but-slow servers. The time-out also covers an
-    /// observed high quantile with margin.
-    double tail_quantile = 0.98;
-    double tail_margin = 2.5;
-    std::size_t tail_window = 128;         // samples kept per stream
   };
+
+  static constexpr Duration kInitial = 5 * kSecond;  // before any measurement
+  static constexpr std::size_t kTailWindow = 128;    // samples kept per stream
 
   AdaptiveTimeout() : AdaptiveTimeout(Options{}) {}
   explicit AdaptiveTimeout(Options opts) : opts_(opts) {}
@@ -60,8 +54,6 @@ class AdaptiveTimeout {
   [[nodiscard]] Duration timeout(const RttStream& s) const;
   /// Report a request outcome: round-trip time and success flag.
   void on_result(RttStream& s, Duration rtt, bool ok) const;
-
-  [[nodiscard]] const Options& options() const { return opts_; }
 
   /// Observed RTT quantile for the stream's trailing window, or 0 when it
   /// has no successful samples yet. This is the hedging trigger: once a

@@ -8,6 +8,10 @@
 
 namespace ew::gossip {
 
+namespace {
+constexpr Duration kTokenLossFactor = 6;  // periods without a token => fragment
+}  // namespace
+
 CliqueMember::CliqueMember(Node& node, std::vector<Endpoint> well_known,
                            Options opts)
     : node_(node), well_known_(std::move(well_known)), opts_(opts) {}
@@ -154,7 +158,7 @@ void CliqueMember::schedule_loss_check() {
 }
 
 Duration CliqueMember::token_loss_timeout() const {
-  return opts_.token_period * opts_.token_loss_factor +
+  return opts_.token_period * kTokenLossFactor +
          static_cast<Duration>(view_.members.size()) * opts_.hop_timeout;
 }
 

@@ -32,7 +32,6 @@ class CliqueMember {
  public:
   struct Options {
     Duration token_period = 5 * kSecond;       // leader circulation interval
-    Duration token_loss_factor = 6;            // periods without a token => fragment
     Duration probe_period = 15 * kSecond;      // out-of-clique probe interval
     Duration hop_timeout = 2 * kSecond;        // fallback before forecasts warm up
     // First of four consecutive message types (token/join/probe/merge). The

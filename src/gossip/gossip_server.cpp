@@ -10,6 +10,8 @@
 namespace ew::gossip {
 
 namespace {
+constexpr int kDropAfterMisses = 5;  // consecutive poll failures
+
 const char* merge_counter_name(MergeOutcome o) {
   switch (o) {
     case MergeOutcome::kNew: return obs::names::kGossipMergeNew;
@@ -344,7 +346,7 @@ void GossipServer::poll_tick() {
   const TimePoint now = node_.executor().now();
   // Purge expired leases and hopeless components.
   for (auto it = registry_.begin(); it != registry_.end();) {
-    if (it->second.lease_expiry < now || it->second.misses >= opts_.drop_after_misses) {
+    if (it->second.lease_expiry < now || it->second.misses >= kDropAfterMisses) {
       it = registry_.erase(it);
     } else {
       ++it;

@@ -34,7 +34,6 @@ class GossipServer {
     Duration poll_period = 10 * kSecond;       // component polling cadence
     Duration peer_sync_period = 20 * kSecond;  // clique anti-entropy cadence
     Duration lease = 5 * kMinute;              // registration lifetime
-    int drop_after_misses = 5;                 // consecutive poll failures
     // Hierarchy: number of child cliques the well-known pool splits into.
     // 1 = flat (single clique, no parent tier), preserving single-shard
     // behavior bit-for-bit for the chaos replay tests.

@@ -27,7 +27,6 @@ namespace ew::gossip {
 namespace msgtype {
 // Component <-> Gossip.
 constexpr MsgType kRegister = 0x0101;       // component registers for sync
-constexpr MsgType kGetState = 0x0102;       // single-type state query
 constexpr MsgType kStateUpdate = 0x0103;    // fresher state pushed to a holder
 constexpr MsgType kGetStateBatch = 0x0107;  // batched poll: all types at once
 // Gossip <-> Gossip.

@@ -5,6 +5,10 @@
 
 namespace ew::gossip {
 
+namespace {
+constexpr Duration kCallTimeout = 5 * kSecond;
+}  // namespace
+
 SyncClient::SyncClient(Node& node, const ComparatorRegistry& comparators,
                        std::vector<Endpoint> gossips, Options opts)
     : node_(node),
@@ -19,8 +23,6 @@ void SyncClient::expose(MsgType type, StateHandlers handlers) {
 void SyncClient::start() {
   if (running_) return;
   running_ = true;
-  node_.handle(msgtype::kGetState,
-               [this](const IncomingMessage& m, Responder r) { on_get_state(m, r); });
   node_.handle(msgtype::kGetStateBatch, [this](const IncomingMessage& m, Responder r) {
     on_get_state_batch(m, r);
   });
@@ -45,7 +47,7 @@ void SyncClient::register_with(std::size_t index) {
   for (const auto& [type, h] : handlers_) reg.types.push_back(type);
   // Registration renewals are idempotent; retry within the call before the
   // slower next-gossip failover below.
-  CallOptions opts = CallOptions::fixed(opts_.call_timeout);
+  CallOptions opts = CallOptions::fixed(kCallTimeout);
   opts.retry = RetryPolicy::standard(2);
   opts.trace_tag = "sync.register";
   node_.call(target, msgtype::kRegister, reg.serialize(), std::move(opts),
@@ -76,21 +78,6 @@ void SyncClient::schedule_renewal() {
     }
     register_with(0);
   });
-}
-
-void SyncClient::on_get_state(const IncomingMessage& msg, const Responder& resp) {
-  Reader r(msg.packet.payload);
-  auto type = r.u16();
-  if (!type) {
-    resp.fail(Err::kProtocol, "missing state type");
-    return;
-  }
-  auto it = handlers_.find(*type);
-  if (it == handlers_.end() || !it->second.provider) {
-    resp.fail(Err::kRejected, "state type not exposed: " + std::to_string(*type));
-    return;
-  }
-  resp.ok(it->second.provider());
 }
 
 void SyncClient::on_get_state_batch(const IncomingMessage& msg,

@@ -32,7 +32,6 @@ class SyncClient {
   struct Options {
     Duration reregister_period = 60 * kSecond;  // lease renewal
     Duration retry_delay = 5 * kSecond;         // after a failed registration
-    Duration call_timeout = 5 * kSecond;
   };
 
   SyncClient(Node& node, const ComparatorRegistry& comparators,
@@ -58,7 +57,6 @@ class SyncClient {
  private:
   void register_with(std::size_t index);
   void schedule_renewal();
-  void on_get_state(const IncomingMessage& msg, const Responder& resp);
   void on_get_state_batch(const IncomingMessage& msg, const Responder& resp);
   void on_state_update(const IncomingMessage& msg, const Responder& resp);
 

@@ -17,10 +17,6 @@ class CondorAdapter final : public PoolAdapter {
   CondorAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                 sim::NetworkModel& network, std::uint64_t seed,
                 PoolProfile profile);
-  CondorAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                sim::NetworkModel& network, std::uint64_t seed)
-      : CondorAdapter(events, transport, network, seed,
-                      default_profile(core::Infra::kCondor)) {}
 
   /// Guest jobs killed by owner reclamation so far.
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }

@@ -4,6 +4,11 @@
 
 namespace ew::infra {
 
+namespace {
+constexpr std::size_t kBinarySize = 256 * 1024;  // bytes staged per architecture
+constexpr Duration kGramOverhead = 20 * kSecond;  // submission->running latency
+}  // namespace
+
 GlobusAdapter::GlobusAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                              sim::NetworkModel& network, std::uint64_t seed,
                              PoolProfile profile, Config config)
@@ -38,7 +43,7 @@ void GlobusAdapter::start(ClientFactory factory) {
                     return;
                   }
                   ++gass_fetches_;
-                  r.ok(Bytes(config_.binary_size, 0));
+                  r.ok(Bytes(kBinarySize, 0));
                 });
 
   pool_.set_launch_hook([this](std::size_t i) {
@@ -89,7 +94,7 @@ void GlobusAdapter::on_submit(const IncomingMessage& msg, const Responder& resp)
 
 void GlobusAdapter::stage_and_launch(std::size_t i) {
   if (binary_cached_) {
-    events_.schedule(config_.gram_overhead, [this, i] {
+    events_.schedule(kGramOverhead, [this, i] {
       if (running_) pool_.run_client(i);
     });
     return;
@@ -124,7 +129,7 @@ void GlobusAdapter::stage_and_launch(std::size_t i) {
                 }
                 binary_cached_ = true;
                 for (std::size_t i : waiting) {
-                  events_.schedule(config_.gram_overhead, [this, i] {
+                  events_.schedule(kGramOverhead, [this, i] {
                     if (running_ && pool_.hosts()[i]->up()) pool_.run_client(i);
                   });
                 }

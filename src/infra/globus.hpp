@@ -29,17 +29,11 @@ class GlobusAdapter final : public InfraAdapter {
   struct Config {
     std::string control_host = "globus-control";
     std::string control_site = "globus";
-    std::size_t binary_size = 256 * 1024;  // bytes staged per architecture
-    Duration gram_overhead = 20 * kSecond;  // submission->running latency
   };
 
   GlobusAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                 sim::NetworkModel& network, std::uint64_t seed,
                 PoolProfile profile, Config config);
-  GlobusAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                sim::NetworkModel& network, std::uint64_t seed)
-      : GlobusAdapter(events, transport, network, seed,
-                      default_profile(core::Infra::kGlobus), Config{}) {}
 
   void start(ClientFactory factory) override;
   void stop() override;

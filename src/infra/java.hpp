@@ -21,10 +21,6 @@ class JavaAdapter final : public PoolAdapter {
               sim::NetworkModel& network, std::uint64_t seed,
               PoolProfile profile)
       : PoolAdapter(events, transport, network, std::move(profile), seed) {}
-  JavaAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-              sim::NetworkModel& network, std::uint64_t seed)
-      : JavaAdapter(events, transport, network, seed,
-                    default_profile(core::Infra::kJava)) {}
 };
 
 }  // namespace ew::infra

@@ -2,6 +2,10 @@
 
 namespace ew::infra {
 
+namespace {
+constexpr Duration kProcessingDelay = 25 * kMillisecond;  // per translated call
+}  // namespace
+
 void TranslatorServer::forward(MsgType type, std::vector<Endpoint> targets) {
   routes_[type] = std::move(targets);
   node_.handle(type, [this, type](const IncomingMessage& m, Responder r) {
@@ -9,7 +13,7 @@ void TranslatorServer::forward(MsgType type, std::vector<Endpoint> targets) {
     // then relay ("the role of the translator was to invoke an appropriate
     // Legion method based on message receipt").
     node_.executor().schedule(
-        opts_.processing_delay,
+        kProcessingDelay,
         [this, type, payload = m.packet.payload, r = std::move(r)] {
           relay(type, payload, r, 0, 0);
         });
@@ -54,7 +58,7 @@ LegionAdapter::LegionAdapter(sim::EventQueue& events, sim::SimTransport& transpo
       config_(std::move(config)) {
   network.set_site(config_.gate_host, pool_.profile().site);
   node_.emplace(events, transport, Endpoint{config_.gate_host, 801});
-  translator_.emplace(*node_, config_.translator);
+  translator_.emplace(*node_);
 }
 
 void LegionAdapter::start(ClientFactory factory) {

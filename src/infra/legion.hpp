@@ -22,12 +22,7 @@ namespace ew::infra {
 
 class TranslatorServer {
  public:
-  struct Options {
-    Duration processing_delay = 25 * kMillisecond;  // per translated call
-  };
-
-  TranslatorServer(Node& node, Options opts) : node_(node), opts_(opts) {}
-  explicit TranslatorServer(Node& node) : TranslatorServer(node, Options{}) {}
+  explicit TranslatorServer(Node& node) : node_(node) {}
 
   /// Forward requests of `type` to `targets` (failover order).
   void forward(MsgType type, std::vector<Endpoint> targets);
@@ -39,7 +34,6 @@ class TranslatorServer {
              std::size_t target_index, std::size_t attempts);
 
   Node& node_;
-  Options opts_;
   std::unordered_map<MsgType, std::vector<Endpoint>> routes_;
   std::uint64_t translated_ = 0;
 };
@@ -48,16 +42,11 @@ class LegionAdapter final : public PoolAdapter {
  public:
   struct Config {
     std::string gate_host = "legion-gate";
-    TranslatorServer::Options translator;
   };
 
   LegionAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                 sim::NetworkModel& network, std::uint64_t seed,
                 PoolProfile profile, Config config);
-  LegionAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                sim::NetworkModel& network, std::uint64_t seed)
-      : LegionAdapter(events, transport, network, seed,
-                      default_profile(core::Infra::kLegion), Config{}) {}
 
   void start(ClientFactory factory) override;
   void stop() override;

@@ -2,6 +2,10 @@
 
 namespace ew::infra {
 
+namespace {
+constexpr Duration kDispatchDelay = 10 * kSecond;  // broker + marshalling overhead
+}  // namespace
+
 NetSolveAdapter::NetSolveAdapter(sim::EventQueue& events,
                                  sim::SimTransport& transport,
                                  sim::NetworkModel& network, std::uint64_t seed,
@@ -23,7 +27,7 @@ void NetSolveAdapter::start(ClientFactory factory) {
     // The server advertises its capabilities to the agent as it comes up.
     advertised_.insert(i);
     if (!requested_) return;
-    events_.schedule(config_.dispatch_delay, [this, i] {
+    events_.schedule(kDispatchDelay, [this, i] {
       if (running_ && pool_.hosts()[i]->up()) pool_.run_client(i);
     });
   });
@@ -52,7 +56,7 @@ void NetSolveAdapter::on_request(const Responder& resp) {
   requested_ = true;
   for (std::size_t i : advertised_) {
     if (!pool_.hosts()[i]->up() || pool_.client_running(i)) continue;
-    events_.schedule(config_.dispatch_delay, [this, i] {
+    events_.schedule(kDispatchDelay, [this, i] {
       if (running_ && pool_.hosts()[i]->up()) pool_.run_client(i);
     });
   }

@@ -25,16 +25,11 @@ class NetSolveAdapter final : public InfraAdapter {
  public:
   struct Config {
     std::string agent_host = "netsolve-agent";
-    Duration dispatch_delay = 10 * kSecond;  // broker + marshalling overhead
   };
 
   NetSolveAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                   sim::NetworkModel& network, std::uint64_t seed,
                   PoolProfile profile, Config config);
-  NetSolveAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                  sim::NetworkModel& network, std::uint64_t seed)
-      : NetSolveAdapter(events, transport, network, seed,
-                        default_profile(core::Infra::kNetSolve), Config{}) {}
 
   void start(ClientFactory factory) override;
   void stop() override;

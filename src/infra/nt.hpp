@@ -25,10 +25,6 @@ class NTAdapter final : public PoolAdapter {
   NTAdapter(sim::EventQueue& events, sim::SimTransport& transport,
             sim::NetworkModel& network, std::uint64_t seed,
             PoolProfile profile, Quirks quirks);
-  NTAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-            sim::NetworkModel& network, std::uint64_t seed)
-      : NTAdapter(events, transport, network, seed,
-                  default_profile(core::Infra::kNT), Quirks{}) {}
 
   [[nodiscard]] std::uint64_t lsf_kills() const { return lsf_kills_; }
 

@@ -18,10 +18,6 @@ class UnixAdapter final : public PoolAdapter {
               sim::NetworkModel& network, std::uint64_t seed,
               PoolProfile profile)
       : PoolAdapter(events, transport, network, std::move(profile), seed) {}
-  UnixAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-              sim::NetworkModel& network, std::uint64_t seed)
-      : UnixAdapter(events, transport, network, seed,
-                    default_profile(core::Infra::kUnix)) {}
 };
 
 }  // namespace ew::infra

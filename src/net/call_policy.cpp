@@ -9,6 +9,11 @@ namespace ew {
 
 namespace {
 
+constexpr double kBackoffMultiplier = 2.0;
+/// Floor under the forecast hedge delay so a noisy, microsecond-level tail
+/// cannot make every call a double call.
+constexpr Duration kHedgeMinDelay = 10 * kMillisecond;
+
 // splitmix64 finalizer: cheap, well-mixed, and deterministic — simulator
 // runs replay bit-exactly while concurrent callers still decorrelate.
 std::uint64_t mix64(std::uint64_t x) {
@@ -27,7 +32,7 @@ Duration RetryPolicy::backoff(std::uint32_t prior_attempts,
   const std::uint32_t exponent = prior_attempts > 0 ? prior_attempts - 1 : 0;
   double backoff = static_cast<double>(base_backoff);
   for (std::uint32_t i = 0; i < exponent; ++i) {
-    backoff *= backoff_multiplier;
+    backoff *= kBackoffMultiplier;
     if (backoff >= static_cast<double>(max_backoff)) break;
   }
   backoff = std::min(backoff, static_cast<double>(max_backoff));
@@ -167,7 +172,7 @@ CallStatsSink& CallPolicy::stats() const {
 
 CallPolicy::Route CallPolicy::resolve(const Endpoint& to, MsgType type) {
   Destination& d = dests_.try_emplace(to, to, opts_.breaker).first->second;
-  auto [it, fresh] = d.streams.try_emplace(type, opts_.timeout.tail_window);
+  auto [it, fresh] = d.streams.try_emplace(type, AdaptiveTimeout::kTailWindow);
   // When tracing is on, new streams report their method switches under
   // their dynamic-benchmarking tag so regime changes in the forecast join
   // against the call spans they caused.
@@ -206,7 +211,7 @@ Duration CallPolicy::hedge_delay(const RttStream& s,
   if (!hedge.enabled) return 0;
   const Duration q = AdaptiveTimeout::observed_quantile(s, hedge.tail_quantile);
   if (q <= 0) return 0;  // no history: the forecast has nothing to say
-  return std::max(q, hedge.min_delay);
+  return std::max(q, kHedgeMinDelay);
 }
 
 namespace {

@@ -60,7 +60,6 @@ namespace ew {
 struct RetryPolicy {
   std::uint32_t max_attempts = 1;       // total attempts, including the first
   Duration base_backoff = 100 * kMillisecond;
-  double backoff_multiplier = 2.0;
   Duration max_backoff = 5 * kSecond;
   double jitter = 0.5;                  // fraction of the backoff randomised
   /// Also retry application-level rejections (servers that answered with a
@@ -87,9 +86,6 @@ struct RetryPolicy {
 struct HedgePolicy {
   bool enabled = false;
   double tail_quantile = 0.95;
-  /// Floor under the forecast delay so a noisy, microsecond-level tail
-  /// cannot make every call a double call.
-  Duration min_delay = 10 * kMillisecond;
 
   static HedgePolicy at(double quantile) {
     HedgePolicy h;
@@ -108,7 +104,7 @@ struct CallOptions {
   /// Fixed per-attempt time-out; 0 = dynamic discovery via AdaptiveTimeout.
   Duration attempt_timeout = 0;
   /// With dynamic discovery: time-out to use before the (destination, type)
-  /// stream has any samples (0 = the policy-wide AdaptiveTimeout initial).
+  /// stream has any samples (0 = AdaptiveTimeout::kInitial).
   Duration initial_timeout = 0;
   /// With dynamic discovery: cap on the discovered time-out (0 = the
   /// policy-wide ceiling).
@@ -248,7 +244,6 @@ class CircuitBreaker {
   };
   enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
-  CircuitBreaker() : CircuitBreaker(Options{}) {}
   explicit CircuitBreaker(const Options& opts) : opts_(opts) {}
 
   [[nodiscard]] State state(TimePoint now) {

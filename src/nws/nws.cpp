@@ -4,6 +4,10 @@
 
 namespace ew::nws {
 
+namespace {
+constexpr std::size_t kMaxResources = 10'000;  // bounded memory
+}  // namespace
+
 Bytes NwsMeasurement::serialize() const {
   Writer w;
   w.str(resource);
@@ -53,7 +57,7 @@ Result<NwsForecastReply> NwsForecastReply::deserialize(const Bytes& data) {
 void NwsStationModule::record(const std::string& resource, double value) {
   auto it = series_.find(resource);
   if (it == series_.end()) {
-    if (series_.size() >= opts_.max_resources) {
+    if (series_.size() >= kMaxResources) {
       EW_WARN << "NWS station: resource cap reached, dropping " << resource;
       return;
     }

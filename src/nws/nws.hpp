@@ -56,7 +56,6 @@ class NwsStationModule final : public core::ServiceModule {
   struct Options {
     std::vector<Endpoint> peers;             // other stations to probe
     Duration probe_period = 30 * kSecond;    // per-peer probe cadence
-    std::size_t max_resources = 10'000;      // bounded memory
   };
 
   explicit NwsStationModule(Options opts) : opts_(std::move(opts)) {}

@@ -8,6 +8,10 @@ namespace ew::obs {
 
 namespace {
 
+/// A breaker-open within this window of the trace's final span is not a
+/// violation — the run simply ended before the cooldown elapsed.
+constexpr std::int64_t kBreakerGraceUs = 60 * 1000 * 1000;
+
 // sim::FaultKind wire values carried in kChaosFault's a word. obs cannot
 // include sim headers (sim links against obs), so the two values the checker
 // interprets are pinned here; fault_kind_name() round-trips them in tests.
@@ -203,7 +207,7 @@ InvariantReport check_invariants(const TraceRecorder& rec,
   // Every breaker still open at the end must have opened recently enough
   // that its cooldown simply had not elapsed yet.
   for (const auto& [tag, at] : open_since) {
-    if (at >= end - opts.breaker_grace_us) continue;
+    if (at >= end - kBreakerGraceUs) continue;
     std::ostringstream os;
     os << "circuit breaker for " << rec.tag_name(tag) << " opened at t=" << at
        << " and never probed (trace ends at t=" << end << ")";

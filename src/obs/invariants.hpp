@@ -29,9 +29,6 @@ struct InvariantOptions {
   /// client that is still alive and working). Everything else issued and
   /// never reclaimed must be explained by a crash/restart pair.
   std::set<std::uint64_t> live_units;
-  /// A breaker-open within this window of the trace's final span is not a
-  /// violation — the run simply ended before the cooldown elapsed.
-  std::int64_t breaker_grace_us = 60 * 1000 * 1000;
   /// Likewise, a unit at risk from a crash this close to the end of the
   /// trace is forgiven if the restart never came.
   std::int64_t crash_grace_us = 0;

@@ -6,17 +6,21 @@
 namespace ew::sim::mc {
 
 std::string Repro::to_string() const {
-  std::string out = "world=" + world + " steps:";
-  if (choices.empty()) out += " (all-default)";
+  std::string out = "world=";
+  out.append(world).append(" steps:");
+  if (choices.empty()) out.append(" (all-default)");
   for (const auto& [step, c] : choices) {
-    out += " " + std::to_string(step) + ":";
-    out += (c.kind == Choice::Kind::kFault) ? "fault[" : "ev[";
-    out += std::to_string(c.index) + "]";
+    out.append(" ").append(std::to_string(step)).append(":");
+    out.append(c.kind == Choice::Kind::kFault ? "fault[" : "ev[");
+    out.append(std::to_string(c.index)).append("]");
   }
   return out;
 }
 
 namespace {
+
+/// Hard cap on complete branches (naive mode can explode combinatorially).
+constexpr std::uint64_t kMaxBranches = 200'000;
 
 /// Host-disjoint events commute; unlabelled events never do.
 bool independent(const std::string& a, const std::string& b) {
@@ -113,7 +117,7 @@ void Explorer::dfs(Path& path, const Sleep& sleep, Report& rep) {
     ++rep.branches;
     rep.fingerprints.insert(r.fingerprint);
     if (!r.violations.empty()) record_violation(path, r, rep);
-    if (rep.branches >= opts_.max_branches) rep.branch_cap_hit = true;
+    if (rep.branches >= kMaxBranches) rep.branch_cap_hit = true;
     return;
   }
   ++rep.choice_points;

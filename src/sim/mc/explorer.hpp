@@ -102,8 +102,6 @@ struct Options {
   /// (0 = unbounded). Needed because periodic server timers never quiesce.
   Duration window = 0;
   bool reduce = true;  // sleep-set (DPOR-style) pruning
-  /// Hard cap on complete branches (naive mode can explode combinatorially).
-  std::uint64_t max_branches = 200'000;
   bool stop_at_first_violation = false;
 };
 

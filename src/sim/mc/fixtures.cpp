@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/protocol.hpp"
 #include "core/work_pool.hpp"
@@ -25,25 +26,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Shared scaffolding.
-
-std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, const std::string& s) {
-  return fnv_mix(h, s.data(), s.size());
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  return fnv_mix(h, &v, sizeof v);
-}
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
 
 /// Deterministic-network base: loss and jitter zeroed so the NetworkModel's
 /// unconditional RNG draws are value-irrelevant (chance(0) is always false,
@@ -158,16 +140,16 @@ class CliqueWorld final : public BaseWorld {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const override {
-    std::uint64_t h = kFnvBasis;
+    std::uint64_t h = kFnv1a64Basis;
     for (int i = 0; i < kMembers; ++i) {
       if (!members_[i].member) {
-        h = fnv_mix(h, host(i) + ":dead");
+        h = fnv1a64(h, host(i) + ":dead");
         continue;
       }
       const gossip::View& vi = members_[i].member->view();
-      h = fnv_mix(h, host(i));
-      h = fnv_mix(h, vi.leader.to_string());
-      for (const Endpoint& e : vi.members) h = fnv_mix(h, e.to_string());
+      h = fnv1a64(h, host(i));
+      h = fnv1a64(h, vi.leader.to_string());
+      for (const Endpoint& e : vi.members) h = fnv1a64(h, e.to_string());
     }
     return h;
   }
@@ -300,19 +282,19 @@ class GossipWorld final : public BaseWorld {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const override {
-    std::uint64_t h = kFnvBasis;
+    std::uint64_t h = kFnv1a64Basis;
     for (int i = 0; i < kServers; ++i) {
       if (!servers_[i].server) {
-        h = fnv_mix(h, host(i) + ":dead");
+        h = fnv1a64(h, host(i) + ":dead");
         continue;
       }
-      h = fnv_mix(h, host(i));
+      h = fnv1a64(h, host(i));
       for (const auto& s : servers_[i].server->store().summary()) {
-        h = fnv_mix(h, static_cast<std::uint64_t>(s.type));
-        h = fnv_mix(h, s.version);
-        h = fnv_mix(h, s.checksum);
+        h = fnv1a64(h, static_cast<std::uint64_t>(s.type));
+        h = fnv1a64(h, s.version);
+        h = fnv1a64(h, s.checksum);
       }
-      h = fnv_mix(h, servers_[i].server->clique().view().generation);
+      h = fnv1a64(h, servers_[i].server->clique().view().generation);
     }
     return h;
   }
@@ -470,13 +452,13 @@ class SchedWorld final : public BaseWorld {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const override {
-    std::uint64_t h = kFnvBasis;
-    for (std::uint64_t u : pool_.assigned_units()) h = fnv_mix(h, u);
+    std::uint64_t h = kFnv1a64Basis;
+    for (std::uint64_t u : pool_.assigned_units()) h = fnv1a64(h, u);
     for (const Client& c : clients_) {
-      h = fnv_mix(h, c.self.host + (c.alive ? ":up" : ":down"));
-      for (std::uint64_t u : c.held) h = fnv_mix(h, u);
+      h = fnv1a64(h, c.self.host + (c.alive ? ":up" : ":down"));
+      for (std::uint64_t u : c.held) h = fnv1a64(h, u);
     }
-    h = fnv_mix(h, units_issued_);
+    h = fnv1a64(h, units_issued_);
     return h;
   }
 

@@ -57,9 +57,4 @@ MeasurementTrace MeasurementTrace::synthetic_rtt(std::size_t n, Rng rng,
   return MeasurementTrace(std::move(v));
 }
 
-void MeasurementTrace::replay_into(EventForecasterBank& bank,
-                                   const EventTag& tag) const {
-  bank.record_batch(tag, values_);
-}
-
 }  // namespace ew::sim

@@ -13,7 +13,6 @@
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
-#include "forecast/dynamic_benchmark.hpp"
 
 namespace ew::sim {
 
@@ -93,9 +92,7 @@ class SpikeSchedule {
 /// benchmarking layer sees when a recorded run is replayed rather than
 /// measured live. synthetic_rtt() produces the SC98-style round-trip
 /// profile: a lognormal service-time baseline modulated by a mean-reverting
-/// AR(1) load factor, with occasional contention spikes. replay_into()
-/// pushes the whole trace through EventForecasterBank::record_batch, the
-/// bulk entry point of the forecast layer.
+/// AR(1) load factor, with occasional contention spikes.
 class MeasurementTrace {
  public:
   struct RttParams {
@@ -116,9 +113,6 @@ class MeasurementTrace {
 
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
   [[nodiscard]] std::size_t size() const { return values_.size(); }
-
-  /// Bulk-replay the trace into a bank as measurements of `tag`.
-  void replay_into(EventForecasterBank& bank, const EventTag& tag) const;
 
  private:
   std::vector<double> values_;

@@ -8,13 +8,25 @@
 
 namespace ew::wish {
 
-CallOptions WishDaemon::Options::default_collective_call() {
+namespace {
+
+/// How often a waiting participant re-enters an unconfirmed barrier.
+constexpr Duration kBarrierReenter = 2 * kSecond;
+/// Children per node in the scatter distribution tree.
+constexpr std::uint32_t kScatterFanout = 2;
+/// Spawn backpressure: refuse (kOverloaded) past this many live jobs.
+constexpr std::uint32_t kMaxJobs = 1u << 20;
+
+/// Call options for every collective hop (fan-outs, re-enters, claims).
+CallOptions collective_call() {
   CallOptions o;
   o.retry = RetryPolicy::standard(3);
   o.hedge = HedgePolicy::at(0.95);
   o.deadline = 10 * kSecond;
   return o;
 }
+
+}  // namespace
 
 WishDaemon::WishDaemon(Node& node,
                        const gossip::ComparatorRegistry& comparators,
@@ -117,7 +129,7 @@ void WishDaemon::on_spawn(const IncomingMessage& msg, const Responder& resp) {
     resp.fail(req.error().code, req.error().message);
     return;
   }
-  if (jobs_.size() + req->jobs.size() > opts_.max_jobs) {
+  if (jobs_.size() + req->jobs.size() > kMaxJobs) {
     resp.fail(Err::kOverloaded, "wish job table full");
     return;
   }
@@ -289,7 +301,7 @@ void WishDaemon::send_barrier_enter(const std::string& name,
   req.participant = node_.self();
   req.released_seen = it->second.released;
   node_.call(coordinator_of(name), msgtype::kBarrierEnter, req.serialize(),
-             opts_.collective_call,
+             collective_call(),
              [this, name, epoch](Result<Bytes> result) {
                if (!running_ || !result) return;  // the timer re-enters
                auto reply = BarrierEnterReply::deserialize(*result);
@@ -311,7 +323,7 @@ void WishDaemon::schedule_reenter(const std::string& name,
   const auto it = waits_.find(BarrierKey{name, epoch});
   if (it == waits_.end()) return;
   it->second.timer = node_.executor().schedule(
-      opts_.barrier_reenter, [this, name, epoch] {
+      kBarrierReenter, [this, name, epoch] {
         const auto wit = waits_.find(BarrierKey{name, epoch});
         if (wit == waits_.end() || !running_) return;
         wit->second.timer = kInvalidTimer;
@@ -391,7 +403,7 @@ void WishDaemon::release_group(const std::string& name, std::uint64_t epoch,
     // Latency optimization only: a lost push is recovered by the
     // participant's next re-enter hitting the released floor above.
     node_.call(participant, msgtype::kBarrierRelease, wire,
-               opts_.collective_call, [](Result<Bytes>) {});
+               collective_call(), [](Result<Bytes>) {});
   }
 }
 
@@ -438,7 +450,7 @@ void WishDaemon::leader_once(const std::string& name, std::uint64_t epoch,
   req.epoch = epoch;
   req.claimant = claimant;
   node_.call(coordinator_of(name), msgtype::kLeaderClaim, req.serialize(),
-             opts_.collective_call,
+             collective_call(),
              [claimant, cb = std::move(cb)](Result<Bytes> result) {
                if (!cb) return;
                if (!result) {
@@ -455,13 +467,6 @@ void WishDaemon::leader_once(const std::string& name, std::uint64_t epoch,
              });
 }
 
-std::optional<std::string> WishDaemon::leader_winner(const std::string& name,
-                                                     std::uint64_t epoch) const {
-  const auto it = leaders_.find(BarrierKey{name, epoch});
-  if (it == leaders_.end()) return std::nullopt;
-  return it->second;
-}
-
 // --- Scatter/gather ----------------------------------------------------------
 
 void WishDaemon::fan_out(const std::string& name, std::uint64_t epoch,
@@ -472,7 +477,7 @@ void WishDaemon::fan_out(const std::string& name, std::uint64_t epoch,
     return;
   }
   const std::size_t fanout =
-      std::max<std::size_t>(1, std::min<std::size_t>(opts_.scatter_fanout,
+      std::max<std::size_t>(1, std::min<std::size_t>(kScatterFanout,
                                                      targets.size()));
   struct Gather {
     std::size_t pending = 0;
@@ -498,7 +503,7 @@ void WishDaemon::fan_out(const std::string& name, std::uint64_t epoch,
     }
     c_scatter_forwards_->inc();
     node_.call(targets[lo], msgtype::kScatter, req.serialize(),
-               opts_.collective_call, [gather](Result<Bytes> result) {
+               collective_call(), [gather](Result<Bytes> result) {
                  if (result) {
                    if (auto reply = ScatterReply::deserialize(*result)) {
                      gather->delivered += reply->delivered;
@@ -526,7 +531,7 @@ void WishDaemon::on_scatter(const IncomingMessage& msg, const Responder& resp) {
     obs::trace().record(node_.executor().now(), obs::SpanKind::kWishCollective,
                         obs::trace().intern(req->name),
                         static_cast<std::int64_t>(req->subtree.size()),
-                        static_cast<std::int64_t>(opts_.scatter_fanout));
+                        static_cast<std::int64_t>(kScatterFanout));
   }
   const std::uint64_t own = scatter_fold(node_.self(), req->payload);
   // Deferred reply: the gathered subtree acknowledgement rides back up the
@@ -553,7 +558,7 @@ void WishDaemon::scatter(const std::string& name, std::uint64_t epoch,
     obs::trace().record(node_.executor().now(), obs::SpanKind::kWishCollective,
                         obs::trace().intern(name),
                         static_cast<std::int64_t>(targets.size()),
-                        static_cast<std::int64_t>(opts_.scatter_fanout));
+                        static_cast<std::int64_t>(kScatterFanout));
   }
   const std::uint64_t own = scatter_fold(node_.self(), payload);
   fan_out(name, epoch, payload, std::move(targets),

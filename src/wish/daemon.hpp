@@ -41,7 +41,7 @@ namespace ew::wish {
 class WishDaemon {
  public:
   struct Options {
-    /// Bumped by the scenario on every restart; the high half of job ids
+    /// Bumped by the owner on every restart; the high half of job ids
     /// and the scope of leader-once wins.
     std::uint64_t incarnation = 1;
     /// Every WISH daemon endpoint, in the SAME order on every daemon —
@@ -50,16 +50,6 @@ class WishDaemon {
     std::vector<Endpoint> peers;
     /// Gossip pool for env synchronization; empty = env stays local.
     std::vector<Endpoint> gossips;
-    /// How often a waiting participant re-enters an unconfirmed barrier.
-    Duration barrier_reenter = 2 * kSecond;
-    /// Children per node in the scatter distribution tree.
-    std::uint32_t scatter_fanout = 2;
-    /// Spawn backpressure: refuse (kOverloaded) past this many live jobs.
-    std::uint32_t max_jobs = 1u << 20;
-    /// Call options for every collective hop (fan-outs, re-enters, claims).
-    CallOptions collective_call = default_collective_call();
-
-    static CallOptions default_collective_call();
   };
 
   WishDaemon(Node& node, const gossip::ComparatorRegistry& comparators,
@@ -118,9 +108,6 @@ class WishDaemon {
   [[nodiscard]] std::uint64_t barrier_reentries() const { return reentries_; }
   /// Open participant-side waits (0 = no barrier in progress here).
   [[nodiscard]] std::size_t open_barrier_waits() const { return waits_.size(); }
-  /// Coordinator-side winner of (name, epoch) this incarnation, if any.
-  [[nodiscard]] std::optional<std::string> leader_winner(
-      const std::string& name, std::uint64_t epoch) const;
 
  private:
   using BarrierKey = std::pair<std::string, std::uint64_t>;  // (name, epoch)

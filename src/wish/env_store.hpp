@@ -47,7 +47,7 @@ class EnvStore {
   };
 
   /// `writer_id` must be stable across restarts of the same daemon (the
-  /// scenario uses a hash of the host name) — that is what lets apply()
+  /// daemon uses a hash of its endpoint) — that is what lets apply()
   /// recognize a pre-crash ghost as its own.
   explicit EnvStore(std::uint64_t writer_id) : writer_(writer_id) {}
 

@@ -27,14 +27,6 @@ using sim::SimTransport;
 using sim::mc::FaultAction;
 using sim::mc::World;
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (std::size_t i = 0; i < sizeof v; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 class WishWorld final : public World {
  public:
   static constexpr int kDaemons = 3;
@@ -142,17 +134,17 @@ class WishWorld final : public World {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const override {
-    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t h = kFnv1a64Basis;
     for (int i = 0; i < kDaemons; ++i) {
       const auto& d = daemons_[i];
-      h = fnv_mix(h, d.daemon ? d.incarnation : 0);
-      h = fnv_mix(h, released_[i]);
-      h = fnv_mix(h, enters_[i]);
-      h = fnv_mix(h, claim_resolved_[i] ? 1 : 0);
+      h = fnv1a64(h, d.daemon ? d.incarnation : 0);
+      h = fnv1a64(h, released_[i]);
+      h = fnv1a64(h, enters_[i]);
+      h = fnv1a64(h, claim_resolved_[i] ? 1 : 0);
     }
     for (const auto& [inc, winners] : winners_by_inc_) {
-      h = fnv_mix(h, inc);
-      for (const auto& w : winners) h = fnv_mix(h, fnv1a64(w));
+      h = fnv1a64(h, inc);
+      for (const auto& w : winners) h = fnv1a64(h, fnv1a64(w));
     }
     return h;
   }
@@ -164,7 +156,7 @@ class WishWorld final : public World {
     std::uint64_t incarnation = 0;  // last started incarnation
   };
 
-  static std::string host(int i) { return "w" + std::to_string(i); }
+  static std::string host(int i) { return std::string("w").append(std::to_string(i)); }
 
   /// Smallest "<stem><n>" whose coordinator hash lands on peers_[want].
   std::string pick_name(const std::string& stem, int want) const {

@@ -4,17 +4,6 @@
 
 namespace ew::wish {
 
-const char* job_state_name(JobState s) {
-  switch (s) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kExited: return "exited";
-    case JobState::kKilled: return "killed";
-    case JobState::kLost: return "lost";
-  }
-  return "?";
-}
-
 void JobSpec::write(Writer& w) const {
   w.str(command);
   w.i64(runtime);

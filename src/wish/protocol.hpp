@@ -64,7 +64,6 @@ enum class JobState : std::uint8_t {
   kLost = 4,  // the daemon restarted and has no record of the id
 };
 constexpr std::uint8_t kJobStateCount = 5;
-[[nodiscard]] const char* job_state_name(JobState s);
 [[nodiscard]] inline bool job_state_terminal(JobState s) {
   return s == JobState::kExited || s == JobState::kKilled || s == JobState::kLost;
 }

@@ -459,14 +459,14 @@ TEST(CallPolicyUnit, InitialAndMaxAttemptTimeoutBoundDiscovery) {
   EXPECT_EQ(policy.forecast(to, kEcho).samples, 0u);
   EXPECT_EQ(policy.attempt_timeout(r.stream, o), 300 * kMillisecond);
   EXPECT_EQ(policy.attempt_timeout(r.stream, CallOptions{}),
-            AdaptiveTimeout::Options{}.initial);
+            AdaptiveTimeout::kInitial);
 
   // One failed attempt feeds the inflated pseudo-sample: the stream is now
   // measured and the discovered value replaces the initial one.
   policy.on_attempt_result(r.dest, r.stream, 0, 0, 300 * kMillisecond, false);
   EXPECT_EQ(policy.forecast(to, kEcho).samples, 1u);
   const Duration discovered = policy.attempt_timeout(r.stream, CallOptions{});
-  EXPECT_GT(discovered, AdaptiveTimeout::Options{}.initial);
+  EXPECT_GT(discovered, AdaptiveTimeout::kInitial);
   EXPECT_EQ(policy.attempt_timeout(r.stream, o), discovered);
 
   // max_attempt_timeout caps the discovered value.

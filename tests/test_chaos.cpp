@@ -82,12 +82,12 @@ TEST_F(ChaosTest, EveryRoleCrashRestartsWithoutLosingWork) {
 
   // Every gossip — including the two that died and rejoined — converged back
   // to one clique view.
-  ASSERT_GE(o.num_gossips, 2);
+  ASSERT_GE(ScenarioOptions::kNumGossips, 2);
   gossip::GossipServer* g0 = scenario.gossip_server(0);
   ASSERT_NE(g0, nullptr);
   const gossip::View& v0 = g0->clique().view();
-  EXPECT_EQ(v0.members.size(), static_cast<std::size_t>(o.num_gossips));
-  for (int i = 1; i < o.num_gossips; ++i) {
+  EXPECT_EQ(v0.members.size(), static_cast<std::size_t>(ScenarioOptions::kNumGossips));
+  for (int i = 1; i < ScenarioOptions::kNumGossips; ++i) {
     gossip::GossipServer* gi = scenario.gossip_server(i);
     ASSERT_NE(gi, nullptr) << "gossip-" << i;
     const gossip::View& vi = gi->clique().view();
@@ -98,7 +98,7 @@ TEST_F(ChaosTest, EveryRoleCrashRestartsWithoutLosingWork) {
 
   // The global safety/liveness invariants over the whole span stream.
   obs::InvariantOptions iopts;
-  for (int i = 0; i < o.num_schedulers; ++i) {
+  for (int i = 0; i < ScenarioOptions::kNumSchedulers; ++i) {
     core::SchedulerServer* s = scenario.scheduler_server(i);
     ASSERT_NE(s, nullptr) << "sched-" << i;
     for (std::uint64_t id : s->pool().assigned_units()) {

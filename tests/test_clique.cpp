@@ -35,7 +35,7 @@ class CliqueHarness {
     }
   }
 
-  static std::string host(int i) { return "m" + std::to_string(i); }
+  static std::string host(int i) { return std::string("m").append(std::to_string(i)); }
 
   void run(Duration d) { events_.run_for(d); }
   void set_host_up(int i, bool up) { transport_.set_host_up(host(i), up); }

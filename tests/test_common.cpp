@@ -141,6 +141,11 @@ TEST(Hash, Fnv1aKnownVectors) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // Continuation forms: a string picks up where the state left off, and an
+  // integer continues over its eight bytes, least significant first.
+  EXPECT_EQ(fnv1a64(fnv1a64("foo"), "bar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(fnv1a64(kFnv1a64Basis, std::uint64_t{0x6162}),
+            fnv1a64(std::string_view("ba\0\0\0\0\0\0", 8)));
 }
 
 TEST(Hash, RendezvousIsDeterministicAndSpreads) {

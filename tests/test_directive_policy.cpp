@@ -79,7 +79,7 @@ class DirectivePolicyTest : public ::testing::Test {
 TEST_F(DirectivePolicyTest, RotatesKindsBeforeEvidence) {
   std::map<ramsey::HeuristicKind, int> seen;
   for (int i = 0; i < 6; ++i) {
-    const auto spec = register_client("c" + std::to_string(i));
+    const auto spec = register_client(std::string("c").append(std::to_string(i)));
     ++seen[spec.kind];
   }
   EXPECT_EQ(seen.size(), 3u) << "all three heuristics must stay in play";
@@ -101,7 +101,7 @@ TEST_F(DirectivePolicyTest, ExploitsHighYieldKindOnceMeasured) {
       holders;
   int idx = 0;
   while (holders.size() < 3 || holders.begin()->second.empty()) {
-    const std::string host = "seed" + std::to_string(idx++);
+    const std::string host = std::string("seed").append(std::to_string(idx++));
     const auto spec = register_client(host);
     holders[spec.kind].emplace_back(host, spec.unit_id);
     if (idx > 20) break;
@@ -120,7 +120,7 @@ TEST_F(DirectivePolicyTest, ExploitsHighYieldKindOnceMeasured) {
   // Fresh units should now be mostly annealing (modulo the explore slots).
   int anneal = 0, total = 0;
   for (int i = 0; i < 16; ++i) {
-    const auto spec = register_client("x" + std::to_string(i));
+    const auto spec = register_client(std::string("x").append(std::to_string(i)));
     ++total;
     anneal += spec.kind == ramsey::HeuristicKind::kAnneal ? 1 : 0;
   }

@@ -68,7 +68,7 @@ TEST_F(FaultInjectionTest, ProgressUnderTenPercentLoss) {
   net_.set_loss_rate(0.10);
   net_.set_jitter_sigma(0.4);
   build_scheduler_stack();
-  for (int i = 0; i < 8; ++i) add_client("c" + std::to_string(i), 1e7);
+  for (int i = 0; i < 8; ++i) add_client(std::string("c").append(std::to_string(i)), 1e7);
   events_.run_for(2 * kHour);
   // Every client must still be delivering despite constant loss.
   for (const auto& c : clients_) {
@@ -83,14 +83,14 @@ TEST_F(FaultInjectionTest, ProgressUnderHeavyCongestion) {
   net_.set_congestion(5.0);
   net_.set_loss_rate(0.02);
   build_scheduler_stack();
-  for (int i = 0; i < 4; ++i) add_client("c" + std::to_string(i), 1e7);
+  for (int i = 0; i < 4; ++i) add_client(std::string("c").append(std::to_string(i)), 1e7);
   events_.run_for(2 * kHour);
   EXPECT_GT(logging_->records_received(), 100u);
 }
 
 TEST_F(FaultInjectionTest, SchedulerOutageAndRecovery) {
   build_scheduler_stack();
-  for (int i = 0; i < 4; ++i) add_client("c" + std::to_string(i), 1e7);
+  for (int i = 0; i < 4; ++i) add_client(std::string("c").append(std::to_string(i)), 1e7);
   events_.run_for(30 * kMinute);
   const auto before = logging_->records_received();
   ASSERT_GT(before, 0u);
@@ -107,7 +107,7 @@ TEST_F(FaultInjectionTest, SchedulerOutageAndRecovery) {
 
 TEST_F(FaultInjectionTest, ClientsSurviveRepeatedSchedulerFlaps) {
   build_scheduler_stack();
-  for (int i = 0; i < 4; ++i) add_client("c" + std::to_string(i), 1e7);
+  for (int i = 0; i < 4; ++i) add_client(std::string("c").append(std::to_string(i)), 1e7);
   for (int flap = 0; flap < 6; ++flap) {
     events_.run_for(10 * kMinute);
     transport_.set_host_up("sched", false);
@@ -194,7 +194,7 @@ TEST_F(FaultInjectionTest, DirectiveResponsesLostAreSafe) {
   // scheduler keeps a consistent view, and once responses flow again the
   // system converges instead of duplicating work assignments.
   build_scheduler_stack();
-  for (int i = 0; i < 3; ++i) add_client("c" + std::to_string(i), 1e7);
+  for (int i = 0; i < 3; ++i) add_client(std::string("c").append(std::to_string(i)), 1e7);
   events_.run_for(20 * kMinute);
   transport_.set_drop_fn([](const Endpoint& from, const Endpoint&, const Packet& p) {
     return from.host == "sched" && p.kind == PacketKind::kResponse;

@@ -199,63 +199,6 @@ INSTANTIATE_TEST_SUITE_P(Regimes, SelectorProperty, ::testing::Range(0, 6));
 
 // --- Dynamic benchmarking ------------------------------------------------------
 
-TEST(EventForecasterBank, TagsAreIndependent) {
-  EventForecasterBank bank;
-  const EventTag a{"server-a:1", 1};
-  const EventTag b{"server-b:1", 1};
-  for (int i = 0; i < 20; ++i) {
-    bank.record(a, 100.0);
-    bank.record(b, 900.0);
-  }
-  EXPECT_NEAR(bank.forecast(a).value, 100.0, 1.0);
-  EXPECT_NEAR(bank.forecast(b).value, 900.0, 1.0);
-  EXPECT_EQ(bank.tracked_events(), 2u);
-}
-
-TEST(EventForecasterBank, SameAddressDifferentTypeIsDifferentEvent) {
-  EventForecasterBank bank;
-  bank.record(EventTag{"s:1", 1}, 5.0);
-  EXPECT_TRUE(bank.knows(EventTag{"s:1", 1}));
-  EXPECT_FALSE(bank.knows(EventTag{"s:1", 2}));
-}
-
-TEST(ScopedEventTimer, RecordsElapsedOnFinish) {
-  EventForecasterBank bank;
-  VirtualClock clock;
-  const EventTag tag{"x:1", 3};
-  {
-    ScopedEventTimer t(bank, clock, tag);
-    clock.advance(250 * kMillisecond);
-    t.finish();
-    clock.advance(kSecond);  // after finish: not counted
-  }
-  const Forecast f = bank.forecast(tag);
-  ASSERT_EQ(f.samples, 1u);
-  EXPECT_DOUBLE_EQ(f.value, static_cast<double>(250 * kMillisecond));
-}
-
-TEST(ScopedEventTimer, RecordsOnDestruction) {
-  EventForecasterBank bank;
-  VirtualClock clock;
-  const EventTag tag{"x:1", 4};
-  {
-    ScopedEventTimer t(bank, clock, tag);
-    clock.advance(100);
-  }
-  EXPECT_EQ(bank.forecast(tag).samples, 1u);
-}
-
-TEST(ScopedEventTimer, DismissSkipsRecording) {
-  EventForecasterBank bank;
-  VirtualClock clock;
-  const EventTag tag{"x:1", 5};
-  {
-    ScopedEventTimer t(bank, clock, tag);
-    t.dismiss();
-  }
-  EXPECT_EQ(bank.forecast(tag).samples, 0u);
-}
-
 TEST(EventTag, OfEndpointFormatsAddress) {
   const EventTag tag = EventTag::of(Endpoint{"host", 42}, 7);
   EXPECT_EQ(tag.address, "host:42");

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "forecast/dynamic_benchmark.hpp"
 #include "forecast/forecaster.hpp"
 #include "forecast/selector.hpp"
 
@@ -243,6 +242,21 @@ TEST(AdaptiveForecasterIncremental, BatchObserveEqualsSequential) {
   EXPECT_EQ(a.method, b.method);
 }
 
+TEST(AdaptiveForecasterIncremental, RecordBatchEqualsRepeatedRecord) {
+  // A short trace over the full 0..100 range, recorded one sample at a time
+  // and as one batch, must leave the same forecast.
+  std::vector<double> trace;
+  Rng rng(21);
+  for (int i = 0; i < 500; ++i) trace.push_back(rng.uniform(0, 100));
+
+  auto a = AdaptiveForecaster::nws_default();
+  auto b = AdaptiveForecaster::nws_default();
+  for (double v : trace) a.observe(v);
+  b.observe(std::span<const double>(trace));
+  EXPECT_EQ(a.forecast().value, b.forecast().value);
+  EXPECT_EQ(a.forecast().samples, b.forecast().samples);
+}
+
 TEST(AdaptiveForecasterIncremental, BestIndexRegressionOnKnownTraces) {
   // Pin best-method selection on fixed traces so hot-path refactors cannot
   // silently change which forecaster wins.
@@ -270,19 +284,6 @@ TEST(AdaptiveForecasterIncremental, BestIndexRegressionOnKnownTraces) {
     EXPECT_EQ(fc.method, "median(31)");
     EXPECT_NEAR(fc.value, 10.0, 1.0);
   }
-}
-
-TEST(EventForecasterBank, RecordBatchEqualsRepeatedRecord) {
-  std::vector<double> trace;
-  Rng rng(21);
-  for (int i = 0; i < 500; ++i) trace.push_back(rng.uniform(0, 100));
-  const EventTag tag{"s:1", 9};
-
-  EventForecasterBank a, b;
-  for (double v : trace) a.record(tag, v);
-  b.record_batch(tag, trace);
-  EXPECT_EQ(a.forecast(tag).value, b.forecast(tag).value);
-  EXPECT_EQ(a.forecast(tag).samples, b.forecast(tag).samples);
 }
 
 }  // namespace

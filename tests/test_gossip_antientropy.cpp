@@ -57,8 +57,10 @@ struct MultiComponent {
 /// check). ASSERT_* needs a void return, hence the out-parameter.
 void run_convergence_property(std::uint64_t seed, std::uint32_t num_cliques,
                               std::uint64_t* fingerprint = nullptr) {
-  SCOPED_TRACE("seed=" + std::to_string(seed) +
-               " cliques=" + std::to_string(num_cliques));
+  SCOPED_TRACE(std::string("seed=")
+                   .append(std::to_string(seed))
+                   .append(" cliques=")
+                   .append(std::to_string(num_cliques)));
   sim::EventQueue events;
   sim::NetworkModel net{Rng(seed)};
   net.set_loss_rate(0.0);
@@ -70,7 +72,7 @@ void run_convergence_property(std::uint64_t seed, std::uint32_t num_cliques,
   constexpr int kNumGossips = 4;
   std::vector<Endpoint> well_known;
   for (int i = 0; i < kNumGossips; ++i) {
-    well_known.push_back(Endpoint{"g" + std::to_string(i), 501});
+    well_known.push_back(Endpoint{std::string("g").append(std::to_string(i)), 501});
   }
   GossipServer::Options opts;
   opts.poll_period = 5 * kSecond;
@@ -110,7 +112,7 @@ void run_convergence_property(std::uint64_t seed, std::uint32_t num_cliques,
       if (std::find(mine.begin(), mine.end(), t) == mine.end()) mine.push_back(t);
     }
     comps.push_back(std::make_unique<MultiComponent>(
-        events, transport, "comp-" + std::to_string(i), comparators, well_known,
+        events, transport, std::string("comp-").append(std::to_string(i)), comparators, well_known,
         mine));
   }
   events.run_for(1 * kMinute);  // registration + clique formation
@@ -137,9 +139,9 @@ void run_convergence_property(std::uint64_t seed, std::uint32_t num_cliques,
     net.set_loss_rate(seg % 2 == 1 ? 0.15 : 0.0);
     if (rng.below(2) == 0) {
       const auto victim = rng.below(kNumGossips);
-      transport.set_host_up("g" + std::to_string(victim), false);
+      transport.set_host_up(std::string("g").append(std::to_string(victim)), false);
       events.run_for(30 * kSecond);
-      transport.set_host_up("g" + std::to_string(victim), true);
+      transport.set_host_up(std::string("g").append(std::to_string(victim)), true);
     }
     events.run_for(40 * kSecond);
   }
@@ -147,7 +149,7 @@ void run_convergence_property(std::uint64_t seed, std::uint32_t num_cliques,
   // Heal and let anti-entropy finish.
   net.set_loss_rate(0.0);
   for (int i = 0; i < kNumGossips; ++i) {
-    transport.set_host_up("g" + std::to_string(i), true);
+    transport.set_host_up(std::string("g").append(std::to_string(i)), true);
   }
   events.run_for(10 * kMinute);
 

@@ -49,7 +49,7 @@ class GossipServerTest : public ::testing::Test {
 
   void build(int num_gossips, std::uint32_t num_cliques = 1) {
     for (int i = 0; i < num_gossips; ++i) {
-      well_known_.push_back(Endpoint{"g" + std::to_string(i), 501});
+      well_known_.push_back(Endpoint{std::string("g").append(std::to_string(i)), 501});
     }
     GossipServer::Options opts;
     opts.poll_period = 5 * kSecond;
@@ -196,7 +196,7 @@ TEST_F(GossipServerTest, ResponsibilityRebalancesOnGossipFailure) {
     if (servers_[i]->responsible_for(c->node->self())) victim = i;
   }
   ASSERT_NE(victim, 99u);
-  transport_.set_host_up("g" + std::to_string(victim), false);
+  transport_.set_host_up(std::string("g").append(std::to_string(victim)), false);
   events_.run_for(5 * kMinute);
   c->version = 20;
   events_.run_for(5 * kMinute);
@@ -318,23 +318,6 @@ TEST_F(GossipServerTest, ParentTierRollupsPropagateBetweenLeaders) {
     EXPECT_GE(it->second.states, 1u);
     EXPECT_GE(it->second.components, 1u);
   }
-}
-
-TEST_F(GossipServerTest, UnexposedTypeRejected) {
-  build(1);
-  add_component("comp-a");
-  events_.run_for(30 * kSecond);
-  // Ask the component for a type it does not expose.
-  Node probe(events_, transport_, Endpoint{"probe", 1});
-  ASSERT_TRUE(probe.start().ok());
-  Writer w;
-  w.u16(0x0999);
-  std::optional<Result<Bytes>> got;
-  probe.call(Endpoint{"comp-a", 2000}, msgtype::kGetState, w.take(), CallOptions::fixed(5 * kSecond),
-             [&](Result<Bytes> r) { got = std::move(r); });
-  events_.run_for(10 * kSecond);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->code(), Err::kRejected);
 }
 
 }  // namespace

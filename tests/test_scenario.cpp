@@ -199,7 +199,7 @@ TEST(Scenario, Figure1AuxiliaryServicesRun) {
   Sc98Scenario scenario(quick_options());
   const ScenarioResults res = scenario.run();
   EXPECT_GT(res.nws_probes, 100u);
-  EXPECT_EQ(res.directory_size, 3u);  // num_schedulers
+  EXPECT_EQ(res.directory_size, 3u);  // ScenarioOptions::kNumSchedulers
 }
 
 TEST(Scenario, HostCountOverridesApply) {

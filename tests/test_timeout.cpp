@@ -9,13 +9,13 @@ namespace {
 
 TEST(AdaptiveTimeout, InitialBeforeAnyMeasurement) {
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
-  EXPECT_EQ(t.timeout(s), t.options().initial);
+  RttStream s(AdaptiveTimeout::kTailWindow);
+  EXPECT_EQ(t.timeout(s), AdaptiveTimeout::kInitial);
 }
 
 TEST(AdaptiveTimeout, ConvergesAboveObservedRtt) {
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 50; ++i) t.on_result(s, 100 * kMillisecond, true);
   const Duration to = t.timeout(s);
   EXPECT_GT(to, 100 * kMillisecond);          // above the RTT
@@ -26,7 +26,7 @@ TEST(AdaptiveTimeout, RespectsFloor) {
   AdaptiveTimeout::Options o;
   o.floor = 200 * kMillisecond;
   AdaptiveTimeout t(o);
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 50; ++i) t.on_result(s, 1 * kMillisecond, true);
   EXPECT_GE(t.timeout(s), o.floor);
 }
@@ -35,14 +35,14 @@ TEST(AdaptiveTimeout, RespectsCeiling) {
   AdaptiveTimeout::Options o;
   o.ceiling = 10 * kSecond;
   AdaptiveTimeout t(o);
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 50; ++i) t.on_result(s, 60 * kSecond, true);
   EXPECT_LE(t.timeout(s), o.ceiling);
 }
 
 TEST(AdaptiveTimeout, FailuresInflateTimeout) {
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 20; ++i) t.on_result(s, 100 * kMillisecond, true);
   const Duration before = t.timeout(s);
   for (int i = 0; i < 10; ++i) t.on_result(s, before, false);
@@ -51,7 +51,7 @@ TEST(AdaptiveTimeout, FailuresInflateTimeout) {
 
 TEST(AdaptiveTimeout, RecoversAfterFailures) {
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 20; ++i) t.on_result(s, 100 * kMillisecond, true);
   for (int i = 0; i < 5; ++i) t.on_result(s, t.timeout(s), false);
   const Duration inflated = t.timeout(s);
@@ -63,7 +63,7 @@ TEST(AdaptiveTimeout, TracksLoadIncrease) {
   // RTTs jump 10x; the time-out must follow within a modest number of
   // observations (the SCINet reconfiguration scenario).
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {
     t.on_result(s, static_cast<Duration>(100 * kMillisecond * rng.uniform(0.8, 1.2)),
@@ -81,8 +81,8 @@ TEST(AdaptiveTimeout, PerTagIsolation) {
   // One stream per (server, message type) tag: what one learns, the other
   // does not.
   AdaptiveTimeout t;
-  RttStream fast(t.options().tail_window);
-  RttStream slow(t.options().tail_window);
+  RttStream fast(AdaptiveTimeout::kTailWindow);
+  RttStream slow(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 30; ++i) {
     t.on_result(fast, 10 * kMillisecond, true);
     t.on_result(slow, 5 * kSecond, true);
@@ -92,13 +92,13 @@ TEST(AdaptiveTimeout, PerTagIsolation) {
 
 TEST(AdaptiveTimeout, FailureIsAMeasurementButNeverATailSample) {
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   EXPECT_EQ(AdaptiveTimeout::observed_quantile(s, 0.95), 0);
   // A failed request feeds the forecaster an inflated pseudo-sample of the
   // time-out it waited out, so the stream counts as measured ...
   t.on_result(s, t.timeout(s), false);
   EXPECT_EQ(s.forecaster.samples(), 1u);
-  EXPECT_GT(t.timeout(s), t.options().initial);
+  EXPECT_GT(t.timeout(s), AdaptiveTimeout::kInitial);
   // ... but the tail window holds successful RTTs only: no hedge trigger.
   EXPECT_TRUE(s.tail.empty());
   EXPECT_EQ(AdaptiveTimeout::observed_quantile(s, 0.95), 0);
@@ -108,7 +108,7 @@ TEST(AdaptiveTimeout, FailureIsAMeasurementButNeverATailSample) {
 
 TEST(AdaptiveTimeout, GlobalOverrideFreezesPolicy) {
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   for (int i = 0; i < 30; ++i) t.on_result(s, 100 * kMillisecond, true);
   {
     AdaptiveTimeout::StaticOverrideGuard guard(7 * kSecond);
@@ -128,7 +128,7 @@ TEST_P(TimeoutProperty, LowSpuriousRateTightBound) {
   const double sigma = GetParam();
   Rng rng(static_cast<std::uint64_t>(sigma * 100));
   AdaptiveTimeout t;
-  RttStream s(t.options().tail_window);
+  RttStream s(AdaptiveTimeout::kTailWindow);
   const double median_ms = 200.0;
   // Warm up.
   for (int i = 0; i < 200; ++i) {
